@@ -60,8 +60,9 @@ func stripedReorgCorpus() ([]core.Entity, []learn.Example) {
 	return stripedReorgEnts, stripedReorgExs
 }
 
-// stripedReorgView builds the benched view: unstriped MemView at
-// stripes=1, StripedView otherwise — both Hazy-strategy, eager.
+// stripedReorgView builds the benched view: a Hazy-strategy, eager
+// main-memory StripedView with the given stripe count (stripes=1 is
+// the unstriped view).
 func stripedReorgView(stripes int) (core.View, error) {
 	ents, exs := stripedReorgCorpus()
 	opts := core.Options{Norm: 2, SGD: learn.SGDConfig{Eta0: 0.3}, Warm: exs, Partitions: stripes}

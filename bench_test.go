@@ -264,7 +264,7 @@ func BenchmarkFig11bScaleup(b *testing.B) {
 // length; the testing framework re-enters sub-benchmarks several
 // times while calibrating b.N, and rebuilding the transform each time
 // dominates the run.
-var fig12aViews = map[int]*core.MemView{}
+var fig12aViews = map[int]*core.StripedView{}
 
 // BenchmarkFig12aFeatureLength regenerates Figure 12(A): lazy All
 // Members over random-Fourier-feature vectors of growing length.
@@ -279,9 +279,13 @@ func BenchmarkFig12aFeatureLength(b *testing.B) {
 				for i, e := range base.Entities {
 					ents[i] = core.Entity{ID: e.ID, F: rff.Transform(e.F)}
 				}
-				v = core.NewMemView(ents, core.HazyStrategy, core.Options{
+				var err error
+				v, err = core.NewStriped(ents, 1, core.Options{
 					Mode: core.Lazy, Norm: 2, SGD: learn.SGDConfig{Eta0: 0.5},
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				for i := 0; i < 30; i++ {
 					ex := base.Example()
 					if err := v.Update(rff.Transform(ex.F), ex.Label); err != nil {
@@ -311,11 +315,11 @@ func BenchmarkFig12bMulticlass(b *testing.B) {
 	for _, k := range []int{2, 4, 7} {
 		b.Run(fmt.Sprintf("labels=%d", k), func(b *testing.B) {
 			mc, err := multiclass.New(k, ids, func(int) (core.View, error) {
-				return core.NewMemView(d.Entities, core.HazyStrategy, core.Options{
+				return core.New(core.MainMemory, core.HazyStrategy, "", 0, d.Entities, core.Options{
 					Mode: core.Eager, Norm: 2,
 					SGD:  learn.SGDConfig{Eta0: 0.5},
 					Warm: d.Stream(200),
-				}), nil
+				})
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -564,11 +568,14 @@ func BenchmarkAlphaSensitivity(b *testing.B) {
 	for _, alpha := range []float64{0.5, 1, 2} {
 		b.Run(fmt.Sprintf("alpha=%g", alpha), func(b *testing.B) {
 			d := benchData(dataset.DBLife.Scale(benchScale))
-			v := core.NewMemView(d.Entities, core.HazyStrategy, core.Options{
+			v, err := core.NewStriped(d.Entities, 1, core.Options{
 				Mode: core.Eager, Alpha: alpha,
 				SGD:  learn.SGDConfig{Eta0: 0.5},
 				Warm: d.Stream(800),
 			})
+			if err != nil {
+				b.Fatal(err)
+			}
 			stream := d.Stream(b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

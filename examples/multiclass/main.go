@@ -26,11 +26,11 @@ func main() {
 		ids[i] = e.ID
 	}
 	mc, err := multiclass.New(data.Spec.Classes, ids, func(c int) (core.View, error) {
-		return core.NewMemView(data.Entities, core.HazyStrategy, core.Options{
+		return core.New(core.MainMemory, core.HazyStrategy, "", 0, data.Entities, core.Options{
 			Mode: core.Eager,
 			Norm: 2,
 			SGD:  learn.SGDConfig{Eta0: 0.5},
-		}), nil
+		})
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -101,11 +101,11 @@ func RunFig12B(cfg Config, w io.Writer) error {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, strat := range []core.Strategy{core.Naive, core.HazyStrategy} {
 			mc, err := multiclass.New(k, ids, func(int) (core.View, error) {
-				return core.NewMemView(d.Entities, strat, core.Options{
+				return core.New(core.MainMemory, strat, "", 0, d.Entities, core.Options{
 					Mode: core.Eager, Norm: 2,
 					SGD:  benchSGD,
 					Warm: d.Stream(cfg.Warm / 4),
-				}), nil
+				})
 			})
 			if err != nil {
 				return err
@@ -136,11 +136,14 @@ func RunFig13(cfg Config, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 13: tuples between low and high water vs # updates (warm model)")
 	for _, spec := range []dataset.Spec{dataset.Forest, dataset.DBLife} {
 		d := dataset.Generate(spec.Scale(cfg.Scale))
-		v := core.NewMemView(d.Entities, core.HazyStrategy, core.Options{
+		v, err := core.NewStriped(d.Entities, 1, core.Options{
 			Mode: core.Eager, Norm: normFor(d),
 			SGD:  driftSGD,
 			Warm: d.Stream(cfg.Warm / 2),
 		})
+		if err != nil {
+			return err
+		}
 		t := newTable("# Updates", "Band tuples", "Fraction", "Reorgs")
 		steps := []int{0, 250, 500, 1000, 1500, 2000}
 		done := 0
@@ -216,11 +219,14 @@ func RunAblation(cfg Config, w io.Writer) error {
 	warm := d.Stream(cfg.Warm / 4)
 	drift := d.Stream(cfg.Updates * 4)
 	for _, p := range []core.ReorgPolicy{core.ReorgSkiing, core.ReorgNever, core.ReorgAlways} {
-		v := core.NewMemView(d.Entities, core.HazyStrategy, core.Options{
+		v, err := core.NewStriped(d.Entities, 1, core.Options{
 			Mode: core.Eager, Norm: normFor(d), Reorg: p,
 			SGD:  driftSGD,
 			Warm: warm,
 		})
+		if err != nil {
+			return err
+		}
 		start := time.Now()
 		for _, ex := range drift {
 			if err := v.Update(ex.F, ex.Label); err != nil {
@@ -246,11 +252,14 @@ func RunAlpha(cfg Config, w io.Writer) error {
 	d := dataset.Generate(dataset.DBLife.Scale(cfg.Scale))
 	t := newTable("α", "Updates/s", "Reorgs")
 	for _, alpha := range []float64{0.25, 0.5, 1, 2, 4} {
-		v := core.NewMemView(d.Entities, core.HazyStrategy, core.Options{
+		v, err := core.NewStriped(d.Entities, 1, core.Options{
 			Mode: core.Eager, Norm: normFor(d), Alpha: alpha,
 			SGD:  driftSGD,
 			Warm: d.Stream(cfg.Warm / 4),
 		})
+		if err != nil {
+			return err
+		}
 		updates := cfg.Updates * 2
 		start := time.Now()
 		for i := 0; i < updates; i++ {

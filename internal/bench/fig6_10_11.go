@@ -159,9 +159,12 @@ func RunFig10(cfg Config, w io.Writer) error {
 		for i, ex := range train {
 			ents[i] = core.Entity{ID: int64(i), F: ex.F}
 		}
-		v := core.NewMemView(ents, core.HazyStrategy, core.Options{
+		v, err := core.NewStriped(ents, 1, core.Options{
 			Mode: core.Eager, Norm: normFor(d), SGD: benchSGD,
 		})
+		if err != nil {
+			return err
+		}
 		hStart := time.Now()
 		for pass := 0; pass < 3; pass++ {
 			for _, ex := range train {

@@ -42,11 +42,14 @@ func allVariants(t *testing.T, entities []Entity, opts Options) map[string]View 
 	for _, mode := range []Mode{Eager, Lazy} {
 		o := opts
 		o.Mode = mode
+		views[fmt.Sprintf("mm/naive/%s", mode)] = NewMemView(entities, o)
+		sv, err := NewStriped(entities, 1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[fmt.Sprintf("mm/hazy/%s", mode)] = sv
 		for _, strat := range []Strategy{Naive, HazyStrategy} {
-			name := fmt.Sprintf("mm/%s/%s", strat, mode)
-			views[name] = NewMemView(entities, strat, o)
-
-			name = fmt.Sprintf("od/%s/%s", strat, mode)
+			name := fmt.Sprintf("od/%s/%s", strat, mode)
 			dv, err := NewDiskView(filepath.Join(t.TempDir(), name), 64, entities, strat, o)
 			if err != nil {
 				t.Fatal(err)
@@ -70,9 +73,10 @@ func sortedIDs(ids []int64) []int64 {
 }
 
 // TestAllVariantsAgree is the golden invariant: after every update,
-// all ten variants report identical labels for every entity and
-// identical member sets — and they match an oracle that classifies
-// from scratch with the current model.
+// all ten variants (architecture × strategy × mode; Hazy-MM is a
+// one-stripe StripedView) report identical labels for every entity
+// and identical member sets — and they match an oracle that
+// classifies from scratch with the current model.
 func TestAllVariantsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	entities := testEntities(r, 300)
@@ -317,9 +321,14 @@ func TestInsertEntityAllVariants(t *testing.T) {
 func TestDuplicateInsertRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	entities := testEntities(r, 10)
-	v := NewMemView(entities, HazyStrategy, Options{})
-	if err := v.Insert(Entity{ID: 5, F: vector.NewDense([]float64{1, 1})}); err == nil {
-		t.Fatal("mem: duplicate insert accepted")
+	sv, err := NewStriped(entities, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]View{"mm/naive": NewMemView(entities, Options{}), "mm/hazy": sv} {
+		if err := v.Insert(Entity{ID: 5, F: vector.NewDense([]float64{1, 1})}); err == nil {
+			t.Fatalf("%s: duplicate insert accepted", name)
+		}
 	}
 	dv, err := NewDiskView(t.TempDir(), 16, entities, Naive, Options{})
 	if err != nil {
@@ -334,7 +343,7 @@ func TestDuplicateInsertRejected(t *testing.T) {
 func TestLabelUnknownEntity(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	entities := testEntities(r, 10)
-	v := NewMemView(entities, Naive, Options{})
+	v := NewMemView(entities, Options{})
 	if _, err := v.Label(999); err == nil {
 		t.Fatal("mem: unknown entity labeled")
 	}
@@ -355,7 +364,10 @@ func TestLabelUnknownEntity(t *testing.T) {
 func TestHazyReorganizes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	entities := testEntities(r, 500)
-	v := NewMemView(entities, HazyStrategy, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	v, err := NewStriped(entities, 1, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ex := range trainingStream(r, 3000) {
 		if err := v.Update(ex.F, ex.Label); err != nil {
 			t.Fatal(err)
@@ -423,6 +435,24 @@ func TestFactory(t *testing.T) {
 		if _, err := v.CountMembers(); err != nil {
 			t.Fatalf("%v count: %v", arch, err)
 		}
+	}
+	// Hazy-MM is always a StripedView: unstriped means one stripe.
+	for _, p := range []int{0, 1} {
+		v, err := New(MainMemory, HazyStrategy, "", 0, entities, Options{Partitions: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv, ok := v.(*StripedView); !ok || sv.Stripes() != 1 {
+			t.Fatalf("mm/hazy Partitions %d: %T, want a one-stripe *StripedView", p, v)
+		}
+	}
+	if v, err := New(MainMemory, Naive, "", 0, entities, Options{}); err != nil {
+		t.Fatal(err)
+	} else if _, ok := v.(*MemView); !ok {
+		t.Fatalf("mm/naive: %T, want *MemView", v)
+	}
+	if _, err := New(MainMemory, Naive, "", 0, entities, Options{Partitions: 2}); err == nil {
+		t.Fatal("striped naive accepted")
 	}
 	if _, err := New(HybridArch, Naive, t.TempDir(), 16, entities, Options{}); err == nil {
 		t.Fatal("hybrid+naive accepted")

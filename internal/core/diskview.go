@@ -285,7 +285,7 @@ func (v *DiskView) CountMembers() (int, error) {
 
 // MostUncertain returns up to k entity ids nearest the decision
 // boundary under the stored model (active-learning candidates; see
-// MemView.MostUncertain). Hazy strategy only.
+// Snapshot.MostUncertain). Hazy strategy only.
 func (v *DiskView) MostUncertain(k int) ([]int64, error) {
 	if v.strategy != HazyStrategy {
 		return nil, fmt.Errorf("core: MostUncertain requires the Hazy strategy")

@@ -13,11 +13,12 @@ import (
 
 // This file is the read surface the streaming SQL executor plans
 // against: every clustered layout — the snapshot a serving engine
-// publishes, the main-memory entries slice, and the on-disk B+-tree —
-// exposes the same three capabilities, so the planner can push an
-// eps-band predicate down to whichever physical structure the view
-// happens to have instead of rescanning everything (paper §3.2.2's
-// "clustered B+-tree index on t.eps", generalized to all layouts).
+// publishes, the striped views' main-memory entry slices, and the
+// on-disk B+-tree — exposes the same three capabilities, so the
+// planner can push an eps-band predicate down to whichever physical
+// structure the view happens to have instead of rescanning everything
+// (paper §3.2.2's "clustered B+-tree index on t.eps", generalized to
+// all layouts).
 
 // RowCursor streams (id, eps, label) rows, eps-ascending. Next
 // returns one row at a time; NextBatch is the bulk-fill form the
@@ -35,8 +36,9 @@ type RowCursor interface {
 // EpsIndexed is implemented by view layouts that maintain the eps
 // clustering and can expose it: per-entity eps point reads and
 // streaming eps-range scans. Clustered reports whether the instance
-// actually has the clustering (the Hazy strategy) — the naive layouts
-// carry no eps and answer false.
+// actually has the clustering (the Hazy strategy) — the naive on-disk
+// layout carries no eps and answers false, and the naive main-memory
+// MemView does not implement the interface at all.
 type EpsIndexed interface {
 	Clustered() bool
 	EpsOf(id int64) (float64, error)
@@ -99,92 +101,6 @@ func (s *Snapshot) ScanEps(lo, hi float64) (RowCursor, error) {
 		b = a // inverted range (lo > hi): empty scan, like the other layouts
 	}
 	return &sliceCursor{entries: s.entries[a:b]}, nil
-}
-
-// MemView -------------------------------------------------------------
-
-// Clustered reports whether the view keeps its entries eps-sorted.
-func (v *MemView) Clustered() bool { return v.strategy == HazyStrategy }
-
-// EpsOf returns the entity's eps under the stored model.
-func (v *MemView) EpsOf(id int64) (float64, error) {
-	if v.strategy != HazyStrategy {
-		return 0, errNotClustered
-	}
-	ent, ok := v.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("core: no entity %d", id)
-	}
-	return ent.eps, nil
-}
-
-// memCursor walks the eps-sorted entries of a band, resolving each
-// label exactly the way Label does (maintained label in eager mode,
-// watermark test then current model in lazy mode) without mutating
-// any maintenance state. Like every non-snapshot read of a MemView it
-// relies on external serialization against writers.
-type memCursor struct {
-	v      *MemView
-	i, end int
-}
-
-func (c *memCursor) Next() (SnapEntry, bool, error) {
-	if c.i >= c.end {
-		return SnapEntry{}, false, nil
-	}
-	ent := c.v.entries[c.i]
-	c.i++
-	label := int(ent.label)
-	if c.v.opts.Mode == Lazy {
-		if l, certain := c.v.wm.Test(ent.eps); certain {
-			label = l
-		} else {
-			label = c.v.trainer.Model().Predict(ent.f)
-		}
-	}
-	return SnapEntry{ID: ent.id, Eps: ent.eps, Label: int8(label)}, true, nil
-}
-
-// NextBatch resolves a run of entries at once; the lazy-mode model
-// pointer is loaded once per batch instead of once per row.
-func (c *memCursor) NextBatch(dst []SnapEntry) (int, error) {
-	n := len(dst)
-	if rest := c.end - c.i; rest < n {
-		n = rest
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	lazy := c.v.opts.Mode == Lazy
-	var model *learn.Model
-	if lazy {
-		model = c.v.trainer.Model()
-	}
-	for k := 0; k < n; k++ {
-		ent := c.v.entries[c.i+k]
-		label := int(ent.label)
-		if lazy {
-			if l, certain := c.v.wm.Test(ent.eps); certain {
-				label = l
-			} else {
-				label = model.Predict(ent.f)
-			}
-		}
-		dst[k] = SnapEntry{ID: ent.id, Eps: ent.eps, Label: int8(label)}
-	}
-	c.i += n
-	return n, nil
-}
-
-func (c *memCursor) Close() {}
-
-// ScanEps streams the entries with eps ∈ [lo, hi] in eps order.
-func (v *MemView) ScanEps(lo, hi float64) (RowCursor, error) {
-	if v.strategy != HazyStrategy {
-		return nil, errNotClustered
-	}
-	a, b := v.band(lo, hi)
-	return &memCursor{v: v, i: a, end: b}, nil
 }
 
 // DiskView ------------------------------------------------------------
@@ -343,7 +259,6 @@ func (h *HybridView) EpsOf(id int64) (float64, error) {
 
 var (
 	_ EpsIndexed = (*Snapshot)(nil)
-	_ EpsIndexed = (*MemView)(nil)
 	_ EpsIndexed = (*DiskView)(nil)
 	_ EpsIndexed = (*HybridView)(nil)
 )

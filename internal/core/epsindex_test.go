@@ -46,10 +46,14 @@ func TestEpsIndexAgreesAcrossLayouts(t *testing.T) {
 			}
 		}
 	}
-	// The naive layouts have no clustering and must say so.
+	// The naive layouts have no clustering and must say so (the naive
+	// main-memory view by not exposing the surface at all).
 	for name, v := range views {
 		ei, ok := v.(EpsIndexed)
 		if !ok {
+			if strings.HasPrefix(name, "mm/naive/") {
+				continue
+			}
 			t.Fatalf("%s: no EpsIndexed surface", name)
 		}
 		if clustered := ei.Clustered(); clustered != strings.Contains(name, "hazy") {
@@ -108,8 +112,9 @@ func TestEpsIndexAgreesAcrossLayouts(t *testing.T) {
 		}
 	}
 
-	// A snapshot exported from the memview agrees with its source.
-	mm := views["mm/hazy/eager"].(*MemView)
+	// A snapshot exported from the main-memory view agrees with its
+	// source.
+	mm := views["mm/hazy/eager"].(*StripedView)
 	snap, err := mm.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +141,6 @@ func TestEpsIndexAgreesAcrossLayouts(t *testing.T) {
 		t.Fatalf("inverted snapshot range returned %d rows", len(got))
 	}
 	if got := collect(t, mm, 1, -1); len(got) != 0 {
-		t.Fatalf("inverted memview range returned %d rows", len(got))
+		t.Fatalf("inverted main-memory range returned %d rows", len(got))
 	}
 }

@@ -3,49 +3,45 @@ package core
 import "fmt"
 
 // viewKey identifies one point in the layout space the factory routes
-// over: physical architecture × maintenance strategy × whether the
-// view is partition-striped.
+// over: physical architecture × maintenance strategy.
 type viewKey struct {
 	arch     Arch
 	strategy Strategy
-	striped  bool
 }
 
 // builder constructs a view for one supported layout combination.
 type builder func(dir string, poolPages int, entities []Entity, opts Options) (View, error)
 
-// layouts is the capability table: every (architecture, strategy,
-// striped) combination the engine supports, mapped to its
-// constructor. A combination absent from the table is unsupported and
-// New explains why instead of guessing — the two structural holes are
-// striping without eps clustering (the stripes would have nothing to
-// cluster or reorganize independently) and the hybrid architecture
-// without the Hazy strategy (its ε-map and boundary buffer are
-// summaries of the eps clustering).
+// layouts is the capability table: every (architecture, strategy)
+// combination the engine supports, mapped to its constructor. A
+// combination absent from the table is unsupported and New explains
+// why instead of guessing — the structural hole is the hybrid
+// architecture without the Hazy strategy (its ε-map and boundary
+// buffer are summaries of the eps clustering). Hazy-MM has one
+// implementation, StripedView: an unstriped main-memory view is one
+// stripe. The on-disk and hybrid Hazy layouts stripe only when asked
+// to (Partitions > 1).
 var layouts = map[viewKey]builder{
-	{MainMemory, HazyStrategy, false}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
-		return NewMemView(entities, HazyStrategy, opts), nil
+	{MainMemory, HazyStrategy}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
+		return NewStriped(entities, max(1, opts.Partitions), opts)
 	},
-	{MainMemory, Naive, false}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
-		return NewMemView(entities, Naive, opts), nil
+	{MainMemory, Naive}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
+		return NewMemView(entities, opts), nil
 	},
-	{OnDisk, HazyStrategy, false}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
+	{OnDisk, HazyStrategy}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
+		if opts.Partitions > 1 {
+			return NewStripedDisk(dir, poolPages, entities, opts.Partitions, opts)
+		}
 		return NewDiskView(dir, poolPages, entities, HazyStrategy, opts)
 	},
-	{OnDisk, Naive, false}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
+	{OnDisk, Naive}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
 		return NewDiskView(dir, poolPages, entities, Naive, opts)
 	},
-	{HybridArch, HazyStrategy, false}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
+	{HybridArch, HazyStrategy}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
+		if opts.Partitions > 1 {
+			return NewStripedHybrid(dir, poolPages, entities, opts.Partitions, opts)
+		}
 		return NewHybridView(dir, poolPages, entities, opts)
-	},
-	{MainMemory, HazyStrategy, true}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
-		return NewStriped(entities, opts.Partitions, opts)
-	},
-	{OnDisk, HazyStrategy, true}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-		return NewStripedDisk(dir, poolPages, entities, opts.Partitions, opts)
-	},
-	{HybridArch, HazyStrategy, true}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-		return NewStripedHybrid(dir, poolPages, entities, opts.Partitions, opts)
 	},
 }
 
@@ -57,16 +53,14 @@ var layouts = map[viewKey]builder{
 // 1 selects the partition-striped layout of the same architecture —
 // every architecture stripes under the Hazy strategy.
 func New(arch Arch, strategy Strategy, dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-	key := viewKey{arch: arch, strategy: strategy, striped: opts.Partitions > 1}
-	if build, ok := layouts[key]; ok {
+	if opts.Partitions > 1 && strategy != HazyStrategy {
+		return nil, fmt.Errorf("core: striping (PARTITIONS %d) requires the Hazy strategy: the %s strategy keeps no eps clustering for the stripes to maintain", opts.Partitions, strategy)
+	}
+	if build, ok := layouts[viewKey{arch: arch, strategy: strategy}]; ok {
 		return build(dir, poolPages, entities, opts)
 	}
-	switch {
-	case key.striped && strategy != HazyStrategy:
-		return nil, fmt.Errorf("core: striping (PARTITIONS %d) requires the Hazy strategy: the %s strategy keeps no eps clustering for the stripes to maintain", opts.Partitions, strategy)
-	case arch == HybridArch && strategy != HazyStrategy:
+	if arch == HybridArch && strategy != HazyStrategy {
 		return nil, fmt.Errorf("core: the hybrid architecture requires the Hazy strategy (its ε-map and boundary buffer summarize the eps clustering)")
-	default:
-		return nil, fmt.Errorf("core: unsupported layout: architecture %s, strategy %s, partitions %d", arch, strategy, opts.Partitions)
 	}
+	return nil, fmt.Errorf("core: unsupported layout: architecture %s, strategy %s, partitions %d", arch, strategy, opts.Partitions)
 }

@@ -124,8 +124,8 @@ func (h *HybridView) Update(f vector.Vector, label int) error {
 // (§3.4); like Update, the hybrid must then rebuild its ε-map and
 // buffer against the new stored model, or Label would keep testing
 // stale eps values against the reset watermarks. Lazy Members
-// therefore mutates maintenance state and needs the writer's lock
-// (SafeView provides it), same as the other layouts.
+// therefore mutates maintenance state and must be serialized against
+// writers, same as the other layouts.
 func (h *HybridView) Members() ([]int64, error) {
 	var out []int64
 	err := h.membersRebuilding(func(id int64) { out = append(out, id) })

@@ -12,20 +12,27 @@ import (
 )
 
 // TestLazyMembersRaceAgainstIngest hammers lazy All Members reads
-// against a concurrent ingest stream through SafeView, for every
-// layout. Lazy Members is a mutating read — it accrues Skiing waste
-// (AddWaste) and can trigger a reorganization mid-scan (for the
-// hybrid, also an ε-map/buffer rebuild) — so SafeView must route it
-// through the write lock in every layout; run under -race this test
-// is the proof. It also pins the result invariant: every Members
-// result must equal a model-oracle classification of some published
-// model state (here checked at quiesce).
+// against a concurrent ingest stream, for every layout, with every
+// call serialized by one plain mutex — the discipline the database's
+// statement mutex gives unmanaged views. Lazy Members is a mutating
+// read — it accrues Skiing waste (AddWaste) and can trigger a
+// reorganization mid-scan (for the hybrid, also an ε-map/buffer
+// rebuild) — so no layout may touch shared state outside the call
+// that holds the mutex (a stripe scatter must finish before it
+// returns); run under -race this test is the proof. It also pins the
+// result invariant: every Members result must equal a model-oracle
+// classification of some published model state (here checked at
+// quiesce).
 func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	entities := testEntities(r, 200)
 	build := map[string]func(t *testing.T, opts Options) View{
 		"mm": func(t *testing.T, opts Options) View {
-			return NewMemView(entities, HazyStrategy, opts)
+			v, err := NewStriped(entities, 1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
 		},
 		"od": func(t *testing.T, opts Options) View {
 			v, err := NewDiskView(filepath.Join(t.TempDir(), "od"), 64, entities, HazyStrategy, opts)
@@ -72,7 +79,17 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 			// Alpha tiny so waste-triggered reorganizations actually
 			// fire during the scan storm.
 			opts.Alpha = 0.01
-			sv := NewSafeView(mk(t, opts), true)
+			v := mk(t, opts)
+			var mu sync.Mutex
+			locked := func(op string, fn func() error) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				if err := fn(); err != nil {
+					t.Errorf("%s: %v", op, err)
+					return false
+				}
+				return true
+			}
 
 			var wg sync.WaitGroup
 			const readers, reads, writes = 4, 60, 120
@@ -82,17 +99,13 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 					defer wg.Done()
 					rr := rand.New(rand.NewSource(seed))
 					for i := 0; i < reads; i++ {
-						if rr.Intn(2) == 0 {
-							if _, err := sv.Members(); err != nil {
-								t.Errorf("Members: %v", err)
-								return
-							}
-						} else if _, err := sv.CountMembers(); err != nil {
-							t.Errorf("CountMembers: %v", err)
-							return
+						scan := func() error { _, err := v.Members(); return err }
+						if rr.Intn(2) == 1 {
+							scan = func() error { _, err := v.CountMembers(); return err }
 						}
-						if _, err := sv.Label(int64(rr.Intn(len(entities)))); err != nil {
-							t.Errorf("Label: %v", err)
+						id := int64(rr.Intn(len(entities)))
+						if !locked("scan", scan) ||
+							!locked("Label", func() error { _, err := v.Label(id); return err }) {
 							return
 						}
 					}
@@ -107,15 +120,13 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 					if i%5 == 4 {
 						e := Entity{ID: nextID, F: vector.NewDense([]float64{wr.Float64() * 2, wr.Float64() * 2})}
 						nextID++
-						if err := sv.Insert(e); err != nil {
-							t.Errorf("Insert: %v", err)
+						if !locked("Insert", func() error { return v.Insert(e) }) {
 							return
 						}
 						continue
 					}
 					ex := trainingStream(wr, 1)[0]
-					if err := sv.Update(ex.F, ex.Label); err != nil {
-						t.Errorf("Update: %v", err)
+					if !locked("Update", func() error { return v.Update(ex.F, ex.Label) }) {
 						return
 					}
 				}
@@ -125,8 +136,8 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 			// Quiesced oracle: Members equals classifying every entity
 			// with the final model (the hybrid would fail this if a
 			// waste-triggered reorganization skipped its ε-map rebuild).
-			model := sv.Model()
-			got, err := sv.Members()
+			model := v.Model()
+			got, err := v.Members()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +145,7 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 			for _, id := range got {
 				members[id] = true
 			}
-			n, err := sv.CountMembers()
+			n, err := v.CountMembers()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +156,7 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 				if want := model.Predict(e.F) > 0; members[e.ID] != want {
 					t.Fatalf("entity %d: member=%v oracle=%v", e.ID, members[e.ID], want)
 				}
-				label, err := sv.Label(e.ID)
+				label, err := v.Label(e.ID)
 				if err != nil {
 					t.Fatal(err)
 				}

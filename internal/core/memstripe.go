@@ -8,9 +8,20 @@ import (
 	"hazy/internal/vector"
 )
 
-// memStripeStore is the main-memory stripe layout: an eps-clustered
-// slice of entries plus a hash index, exactly the physical structure
-// MemView keeps for a whole view, scoped to one stripe.
+// memEntry is one entity in the main-memory layouts. In a stripe, eps
+// is taken under the stripe's stored model and label is the
+// maintained class; the naive MemView uses only label.
+type memEntry struct {
+	id    int64
+	f     vector.Vector
+	eps   float64
+	label int8
+}
+
+// memStripeStore is the main-memory stripe layout (Hazy-MM, §3.5.1):
+// an eps-clustered slice of entries plus a hash index — "we still
+// cluster the data in main memory, which is crucial to achieve good
+// performance". An unstriped Hazy-MM view is one such stripe.
 type memStripeStore struct {
 	entries []*memEntry
 	byID    map[int64]*memEntry

@@ -2,78 +2,44 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"hazy/internal/learn"
-	"hazy/internal/obs"
 	"hazy/internal/vector"
 )
 
-// memEntry is one entity in the main-memory architecture. eps and
-// label are with respect to the stored model for the Hazy strategy;
-// for the naive eager strategy label tracks the current model and
-// eps is unused.
-type memEntry struct {
-	id    int64
-	f     vector.Vector
-	eps   float64
-	label int8
-}
-
-// MemView is the main-memory architecture (Hazy-MM, §3.5.1) for both
-// the naive and Hazy strategies in either maintenance mode. With the
-// Hazy strategy the entries slice is kept clustered (sorted) on eps —
-// "we still cluster the data in main memory, which is crucial to
-// achieve good performance" — and reorganized per Skiing.
+// MemView is the naive main-memory strategy — the paper's baseline
+// and the from-scratch reference the Hazy layouts are checked against:
+// no clustering and no watermarks, so an eager update relabels every
+// entity and a lazy read classifies every entity under the current
+// model. The Hazy strategy's main-memory architecture (Hazy-MM,
+// §3.5.1) is a StripedView over memStripeStore; an unstriped Hazy-MM
+// view is one stripe.
 type MemView struct {
-	opts     Options
-	strategy Strategy
-	trainer  *learn.SGD
-	entries  []*memEntry
-	byID     map[int64]*memEntry
-	wm       *Watermark
-	sk       *Skiing
-	met      *viewMetrics
-	stats    Stats
+	opts    Options
+	trainer *learn.SGD
+	entries []*memEntry
+	byID    map[int64]*memEntry
+	stats   Stats
 }
 
-// NewMemView builds a main-memory view over entities. For the Hazy
-// strategy the initial clustering doubles as the first
-// reorganization, seeding the Skiing cost S.
-func NewMemView(entities []Entity, strategy Strategy, opts Options) *MemView {
+// NewMemView builds a naive main-memory view over entities.
+func NewMemView(entities []Entity, opts Options) *MemView {
 	opts = opts.withDefaults()
 	v := &MemView{
-		opts:     opts,
-		strategy: strategy,
-		trainer:  learn.NewSGD(opts.SGD),
-		byID:     make(map[int64]*memEntry, len(entities)),
+		opts:    opts,
+		trainer: learn.NewSGD(opts.SGD),
+		entries: make([]*memEntry, 0, len(entities)),
+		byID:    make(map[int64]*memEntry, len(entities)),
 	}
 	for _, ex := range opts.Warm {
 		v.trainer.Train(ex.F, ex.Label)
 	}
-	v.entries = make([]*memEntry, 0, len(entities))
 	for _, e := range entities {
 		ent := &memEntry{id: e.ID, f: e.F}
 		v.entries = append(v.entries, ent)
 		v.byID[e.ID] = ent
 	}
-	if strategy == HazyStrategy {
-		v.wm = NewWatermark(opts.Norm)
-		v.sk = NewSkiing(opts.Alpha)
-		v.met = newViewMetrics(opts.Metrics, obs.L("view", opts.MetricsName)...)
-		var m float64
-		q := v.wm.Q()
-		for _, ent := range v.entries {
-			if n := ent.f.Norm(q); n > m {
-				m = n
-			}
-		}
-		v.wm.M = m
-		v.reorganize()
-	} else {
-		v.relabelAll()
-	}
+	v.relabelAll()
 	return v
 }
 
@@ -89,95 +55,24 @@ func (v *MemView) relabelAll() {
 	}
 }
 
-// reorganize re-clusters the entries on eps under the current model,
-// resets the watermarks, and records the measured cost S. Labels are
-// re-stamped to sign(eps).
-func (v *MemView) reorganize() {
-	start := time.Now()
-	cur := v.trainer.Model()
-	v.wm.Reset(cur, v.wm.M)
-	v.met.observeWMReset()
-	for _, ent := range v.entries {
-		ent.eps = v.wm.Eps(ent.f)
-		ent.label = int8(learn.Sign(ent.eps))
-	}
-	sort.Slice(v.entries, func(a, b int) bool {
-		ea, eb := v.entries[a], v.entries[b]
-		if ea.eps != eb.eps {
-			return ea.eps < eb.eps
-		}
-		return ea.id < eb.id
-	})
-	elapsed := time.Since(start)
-	v.sk.DidReorganize(elapsed)
-	v.met.observeReorg(elapsed)
-}
-
-// band returns the half-open index interval [lo, hi) of entries with
-// eps ∈ [lw, hw].
-func (v *MemView) band(lw, hw float64) (lo, hi int) {
-	lo = sort.Search(len(v.entries), func(i int) bool { return v.entries[i].eps >= lw })
-	hi = sort.Search(len(v.entries), func(i int) bool { return v.entries[i].eps > hw })
-	return lo, hi
-}
-
-// Update folds in one training example and maintains the view — a
-// batch of one.
+// Update folds in one training example and maintains the view.
 func (v *MemView) Update(f vector.Vector, label int) error {
 	return v.UpdateBatch([]learn.Example{{F: f, Label: label}})
 }
 
-// UpdateBatch group-applies a run of training examples: every example
-// is one SGD step and one watermark observation (both O(dim)), but
-// the reorganize-or-sweep decision and the band reclassification —
-// the per-update costs the paper's incremental step pays — run once
-// for the whole batch. For the same examples the resulting view
-// contents equal a sequence of Updates; only the amount of
-// maintenance work differs.
+// UpdateBatch trains on a run of examples, then (eager mode) relabels
+// every entity once for the whole batch.
 func (v *MemView) UpdateBatch(examples []learn.Example) error {
 	if len(examples) == 0 {
 		return nil
 	}
-	if v.strategy == Naive {
-		for _, ex := range examples {
-			v.trainer.Train(ex.F, ex.Label)
-			v.stats.Updates++
-		}
-		if v.opts.Mode == Eager {
-			v.relabelAll()
-		}
-		return nil
-	}
-	// Hazy strategy: fold each new model into the watermarks.
-	var lw, hw float64
 	for _, ex := range examples {
 		v.trainer.Train(ex.F, ex.Label)
 		v.stats.Updates++
-		lw, hw = v.wm.Observe(v.trainer.Model())
 	}
-	if v.opts.Reorg == ReorgAlways {
-		v.reorganize()
-		return nil
+	if v.opts.Mode == Eager {
+		v.relabelAll()
 	}
-	if v.opts.Mode == Lazy {
-		// Lazy updates are optimal (§3.4): train and return; waste
-		// accrues on All Members reads.
-		return nil
-	}
-	if v.opts.Reorg == ReorgSkiing && v.sk.ShouldReorganize() {
-		v.reorganize()
-		return nil
-	}
-	start := time.Now()
-	lo, hi := v.band(lw, hw)
-	cur := v.trainer.Model()
-	for i := lo; i < hi; i++ {
-		ent := v.entries[i]
-		ent.label = int8(cur.Predict(ent.f))
-	}
-	v.stats.Reclassified += int64(hi - lo)
-	v.sk.AddCost(time.Since(start))
-	v.met.observeSweep(hi - lo)
 	return nil
 }
 
@@ -186,29 +81,19 @@ func (v *MemView) Insert(e Entity) error {
 	if _, dup := v.byID[e.ID]; dup {
 		return fmt.Errorf("core: duplicate entity %d", e.ID)
 	}
-	cur := v.trainer.Model()
-	ent := &memEntry{id: e.ID, f: e.F, label: int8(cur.Predict(e.F))}
-	if v.strategy == HazyStrategy {
-		// Widening M (if needed) then observing keeps the band sound
-		// for the enlarged corpus.
-		v.wm.ObserveEntity(e.F)
-		v.wm.Observe(cur)
-		ent.eps = v.wm.Eps(e.F)
-		pos := sort.Search(len(v.entries), func(i int) bool {
-			o := v.entries[i]
-			if o.eps != ent.eps {
-				return o.eps > ent.eps
-			}
-			return o.id > ent.id
-		})
-		v.entries = append(v.entries, nil)
-		copy(v.entries[pos+1:], v.entries[pos:])
-		v.entries[pos] = ent
-	} else {
-		v.entries = append(v.entries, ent)
-	}
+	ent := &memEntry{id: e.ID, f: e.F, label: int8(v.trainer.Model().Predict(e.F))}
+	v.entries = append(v.entries, ent)
 	v.byID[e.ID] = ent
 	return nil
+}
+
+// label resolves one entry: the maintained label in eager mode, the
+// current model's prediction in lazy mode.
+func (v *MemView) label(ent *memEntry, cur *learn.Model) int8 {
+	if v.opts.Mode == Eager {
+		return ent.label
+	}
+	return int8(cur.Predict(ent.f))
 }
 
 // Label answers a Single Entity read.
@@ -217,82 +102,32 @@ func (v *MemView) Label(id int64) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: no entity %d", id)
 	}
-	switch {
-	case v.opts.Mode == Eager:
-		// Both strategies keep labels current in eager mode.
-		return int(ent.label), nil
-	case v.strategy == HazyStrategy:
-		if label, certain := v.wm.Test(ent.eps); certain {
-			return label, nil
-		}
-		return v.trainer.Model().Predict(ent.f), nil
-	default:
-		return v.trainer.Model().Predict(ent.f), nil
-	}
+	return int(v.label(ent, v.trainer.Model())), nil
 }
 
 // members drives an All Members read, invoking fn for every positive
 // entity.
-func (v *MemView) members(fn func(id int64)) error {
-	switch {
-	case v.strategy == Naive && v.opts.Mode == Eager:
-		for _, ent := range v.entries {
-			if ent.label > 0 {
-				fn(ent.id)
-			}
-		}
-	case v.strategy == Naive: // lazy: classify everything
-		cur := v.trainer.Model()
-		for _, ent := range v.entries {
-			if cur.Predict(ent.f) > 0 {
-				fn(ent.id)
-			}
-		}
-	case v.opts.Mode == Eager:
-		// Hazy eager: labels are current; scan only eps ≥ lw — all
-		// positives live there (below lw is certainly negative).
-		lw, hw := v.wm.Band()
-		lo, hi := v.band(lw, hw)
-		for i := lo; i < hi; i++ {
-			if v.entries[i].label > 0 {
-				fn(v.entries[i].id)
-			}
-		}
-		for i := hi; i < len(v.entries); i++ {
-			fn(v.entries[i].id)
-		}
-	default:
-		// Hazy lazy (§3.4): read the NR tuples above low water; those
-		// above high water are members without classification, the
-		// band is classified against the current model. Waste
-		// (NR − N+)/NR · S accrues toward reorganization.
-		start := time.Now()
-		lw, hw := v.wm.Band()
-		lo, hi := v.band(lw, hw)
-		cur := v.trainer.Model()
-		nPos := len(v.entries) - hi
-		for i := hi; i < len(v.entries); i++ {
-			fn(v.entries[i].id)
-		}
-		for i := lo; i < hi; i++ {
-			if cur.Predict(v.entries[i].f) > 0 {
-				fn(v.entries[i].id)
-				nPos++
-			}
-		}
-		v.stats.Reclassified += int64(hi - lo)
-		v.met.observeSweep(hi - lo)
-		nRead := len(v.entries) - lo
-		elapsed := time.Since(start)
-		if nRead > 0 {
-			waste := time.Duration(float64(elapsed) * float64(nRead-nPos) / float64(nRead))
-			v.sk.AddWaste(waste)
-		}
-		if v.opts.Reorg == ReorgSkiing && v.sk.ShouldReorganize() {
-			v.reorganize()
+func (v *MemView) members(fn func(id int64)) {
+	cur := v.trainer.Model()
+	for _, ent := range v.entries {
+		if v.label(ent, cur) > 0 {
+			fn(ent.id)
 		}
 	}
-	return nil
+}
+
+// Members returns the ids labeled +1.
+func (v *MemView) Members() ([]int64, error) {
+	var out []int64
+	v.members(func(id int64) { out = append(out, id) })
+	return out, nil
+}
+
+// CountMembers returns |{id : label(id) = +1}|.
+func (v *MemView) CountMembers() (int, error) {
+	n := 0
+	v.members(func(int64) { n++ })
+	return n, nil
 }
 
 // Retrain rebuilds the model from scratch on examples and brings the
@@ -303,55 +138,39 @@ func (v *MemView) Retrain(examples []learn.Example) error {
 	for _, ex := range examples {
 		v.trainer.Train(ex.F, ex.Label)
 	}
-	switch {
-	case v.strategy == HazyStrategy:
-		v.reorganize()
-	case v.opts.Mode == Eager:
+	if v.opts.Mode == Eager {
 		v.relabelAll()
 	}
 	return nil
 }
 
-// Members returns the ids labeled +1.
-func (v *MemView) Members() ([]int64, error) {
-	var out []int64
-	err := v.members(func(id int64) { out = append(out, id) })
-	return out, err
-}
-
-// CountMembers returns |{id : label(id) = +1}|.
-func (v *MemView) CountMembers() (int, error) {
-	n := 0
-	err := v.members(func(int64) { n++ })
-	return n, err
-}
-
-// MostUncertain returns up to k entity ids nearest the decision
-// boundary under the stored model — the labels most worth asking a
-// human about. The paper names active learning as a motivation for
-// keeping exactly these entities at hand (App. D: "one of our initial
-// motivations behind the hybrid approach is to allow active learning
-// over large data sets"). Hazy strategy only (the naive layout has no
-// eps ordering).
-func (v *MemView) MostUncertain(k int) ([]int64, error) {
-	if v.strategy != HazyStrategy {
-		return nil, fmt.Errorf("core: MostUncertain requires the Hazy strategy")
-	}
-	return walkUncertain(len(v.entries), k,
-		func(i int) float64 { return v.entries[i].eps },
-		func(i int) int64 { return v.entries[i].id }), nil
+// MostUncertain always fails: the naive layout keeps no eps ordering
+// to walk.
+func (v *MemView) MostUncertain(int) ([]int64, error) {
+	return nil, fmt.Errorf("core: MostUncertain requires the Hazy strategy")
 }
 
 // Stats returns maintenance counters.
-func (v *MemView) Stats() Stats {
-	s := v.stats
-	if v.strategy == HazyStrategy {
-		s.Reorgs = v.sk.Reorgs()
-		s.IncSteps = v.sk.IncSteps()
-		s.LastReorgNs = v.sk.S().Nanoseconds()
-		s.LowWater, s.HighWater = v.wm.Band()
-		lo, hi := v.band(s.LowWater, s.HighWater)
-		s.BandTuples = hi - lo
+func (v *MemView) Stats() Stats { return v.stats }
+
+// Snapshot exports the view's contents with every label resolved
+// under the current model. The entries carry no eps ordering, so the
+// snapshot is unclustered.
+func (v *MemView) Snapshot() (*Snapshot, error) {
+	cur := v.trainer.Model()
+	s := &Snapshot{
+		model:   cur.Clone(),
+		entries: make([]SnapEntry, len(v.entries)),
+		byID:    make(map[int64]int, len(v.entries)),
+		stats:   v.Stats(),
 	}
-	return s
+	for i, ent := range v.entries {
+		label := v.label(ent, cur)
+		s.entries[i] = SnapEntry{ID: ent.id, Label: label}
+		s.byID[ent.id] = i
+		if label > 0 {
+			s.members++
+		}
+	}
+	return s, nil
 }

@@ -60,11 +60,15 @@ func TestReorgPolicies(t *testing.T) {
 	stream := trainingStream(r, 100)
 
 	policies := []ReorgPolicy{ReorgSkiing, ReorgNever, ReorgAlways}
-	views := make([]*MemView, len(policies))
+	views := make([]*StripedView, len(policies))
 	for i, p := range policies {
-		views[i] = NewMemView(entities, HazyStrategy, Options{
+		var err error
+		views[i], err = NewStriped(entities, 1, Options{
 			Mode: Eager, Reorg: p, SGD: learn.SGDConfig{Eta0: 0.3},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, ex := range stream {
 		for _, v := range views {

@@ -122,43 +122,6 @@ func walkUncertain(n, k int, eps func(int) float64, id func(int) int64) []int64 
 	return out
 }
 
-// Snapshot exports the main-memory view's contents. The entries are
-// already clustered on eps for the Hazy strategy, so the export is a
-// single pass; labels are resolved exactly (the certain region from
-// the watermarks, the band against the current model) without
-// mutating any maintenance state.
-func (v *MemView) Snapshot() (*Snapshot, error) {
-	cur := v.trainer.Model()
-	s := &Snapshot{
-		model:     cur.Clone(),
-		entries:   make([]SnapEntry, len(v.entries)),
-		byID:      make(map[int64]int, len(v.entries)),
-		clustered: v.strategy == HazyStrategy,
-		stats:     v.Stats(),
-	}
-	for i, ent := range v.entries {
-		var label int8
-		switch {
-		case v.opts.Mode == Eager:
-			label = ent.label
-		case v.strategy == HazyStrategy:
-			if l, certain := v.wm.Test(ent.eps); certain {
-				label = int8(l)
-			} else {
-				label = int8(cur.Predict(ent.f))
-			}
-		default:
-			label = int8(cur.Predict(ent.f))
-		}
-		s.entries[i] = SnapEntry{ID: ent.id, Eps: ent.eps, Label: label}
-		s.byID[ent.id] = i
-		if label > 0 {
-			s.members++
-		}
-	}
-	return s, nil
-}
-
 // BatchUpdater is implemented by views that can group-apply a run of
 // training examples: every example is folded into the model (and its
 // drift into the watermarks), but the expensive maintenance sweep

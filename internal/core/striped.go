@@ -45,17 +45,22 @@ import (
 // only eps values (taken against per-stripe stored models) may differ
 // once stripes reorganize at different times.
 //
-// Unlike an unstriped view, a batch observes only the batch-final
-// model into each stripe's watermarks. That is sound because
-// intermediate models inside a batch never stamp labels and never
-// serve reads — the extrema of Eq. (2) only need to cover every model
-// that did either — and it keeps the per-stripe observation cost at
-// one drift norm per batch instead of one per example.
+// With one stripe this is the whole Hazy-MM architecture (§3.5.1):
+// the main-memory Hazy strategy has no other implementation, so an
+// "unstriped" main-memory view is a one-stripe StripedView.
+//
+// Unlike the unstriped on-disk layouts, a batch observes only the
+// batch-final model into each stripe's watermarks. That is sound
+// because intermediate models inside a batch never stamp labels and
+// never serve reads — the extrema of Eq. (2) only need to cover every
+// model that did either — and it keeps the per-stripe observation
+// cost at one drift norm per batch instead of one per example.
 //
 // Like the unstriped layouts, a StripedView requires external
-// serialization between writers and readers (SafeView, the serving
-// engine, or single-threaded use); every parallel section is bounded
-// by the call that opened it (the pool's scatter barrier).
+// serialization between writers and readers (the database's statement
+// mutex, DB.StatementMu; the serving engine; or single-threaded use);
+// every parallel section is bounded by the call that opened it (the
+// pool's scatter barrier).
 type StripedView struct {
 	opts    Options
 	arch    Arch
@@ -104,8 +109,9 @@ func stripePoolPages(poolPages, partitions int) int {
 	return per
 }
 
-// NewStriped builds a partition-striped main-memory view with the
-// Hazy strategy. partitions must be ≥ 1; each stripe is clustered by
+// NewStriped builds a main-memory view with the Hazy strategy
+// (Hazy-MM), hash-partitioned into partitions stripes; 1 is the
+// unstriped view. partitions must be ≥ 1; each stripe is clustered by
 // its own initial reorganization, in parallel.
 func NewStriped(entities []Entity, partitions int, opts Options) (*StripedView, error) {
 	return newStripedView(entities, partitions, opts, MainMemory,
@@ -171,10 +177,13 @@ func newStripedView(entities []Entity, partitions int, opts Options, arch Arch, 
 				obs.L("view", opts.MetricsName, "stripe", strconv.Itoa(i))...),
 		}
 	}
-	parts := make([][]Entity, partitions)
-	for _, e := range entities {
-		s := stripeOf(e.ID, partitions)
-		parts[s] = append(parts[s], e)
+	parts := [][]Entity{entities} // one stripe holds every entity: no copy
+	if partitions > 1 {
+		parts = make([][]Entity, partitions)
+		for _, e := range entities {
+			s := stripeOf(e.ID, partitions)
+			parts[s] = append(parts[s], e)
+		}
 	}
 	cur := v.trainer.Model()
 	err := v.forStripes(func(i int, st *stripe) error {
@@ -392,8 +401,8 @@ func (v *StripedView) Label(id int64) (int, error) {
 // parallel (each collecting into its own slice — no shared state),
 // gather in stripe order. Lazy mode accrues each stripe's waste into
 // that stripe's Skiing accumulator and may reorganize the stripe,
-// which is why lazy Members needs the writer's lock, exactly like the
-// unstriped layouts (SafeView provides it).
+// which is why lazy Members must be serialized against writers,
+// exactly like the unstriped layouts.
 func (v *StripedView) members(fn func(id int64)) error {
 	cur := v.trainer.Model()
 	lazy := v.opts.Mode == Lazy
@@ -659,8 +668,11 @@ func (v *StripedView) Snapshot() (*Snapshot, error) {
 }
 
 // mergeSnapEntries k-way merges eps-ascending slices into one
-// (eps, id)-ordered slice.
+// (eps, id)-ordered slice. A single part is already that slice.
 func mergeSnapEntries(parts [][]SnapEntry, total int) []SnapEntry {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	out := make([]SnapEntry, 0, total)
 	idx := make([]int, len(parts))
 	for len(out) < total {
@@ -783,12 +795,18 @@ func (m *mergeRowCursor) Close() {
 }
 
 // ScanEps streams the rows with eps ∈ [lo, hi] across all stripes,
-// merged in (eps, id) order.
+// merged in (eps, id) order. A single stripe's cursor is already in
+// that order and keeps its bulk NextBatch.
 func (v *StripedView) ScanEps(lo, hi float64) (RowCursor, error) {
+	if len(v.stripes) == 1 {
+		return v.ScanEpsStripe(0, lo, hi)
+	}
 	curs := make([]RowCursor, len(v.stripes))
 	for i := range v.stripes {
 		c, err := v.ScanEpsStripe(i, lo, hi)
 		if err != nil {
+			// The cursors already open may hold page pins.
+			(&mergeRowCursor{curs: curs}).Close()
 			return nil, err
 		}
 		curs[i] = c

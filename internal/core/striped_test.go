@@ -53,14 +53,16 @@ func newStripedForTest(t *testing.T, arch Arch, entities []Entity, opts Options)
 }
 
 // TestStripedEquivalence is the striping invariant, asserted for
-// every physical layout: a StripedView — main-memory, on-disk, or
-// hybrid — fed a randomized workload of update batches and inserts
-// reports exactly the labels and member sets of an unstriped
-// main-memory view fed the same workload. The model is shared and
-// exact, so neither stripe boundaries nor the storage layout may show
-// through the logical contents. Checked in both modes and under every
-// reorg policy (Skiing reorganizes stripes at timing-dependent
-// moments, which may change per-stripe eps values but never labels).
+// every physical layout: a 4-stripe StripedView — main-memory,
+// on-disk, or hybrid — fed a randomized workload of update batches
+// and inserts reports exactly the labels and member sets of a
+// one-stripe main-memory view fed the same workload, and both match
+// a from-scratch classification under the current model. The model
+// is shared and exact, so neither stripe boundaries nor the storage
+// layout may show through the logical contents. Checked in both modes
+// and under every reorg policy (Skiing reorganizes stripes at
+// timing-dependent moments, which may change per-stripe eps values
+// but never labels).
 func TestStripedEquivalence(t *testing.T) {
 	for _, arch := range []Arch{MainMemory, OnDisk, HybridArch} {
 		for _, mode := range []Mode{Eager, Lazy} {
@@ -70,26 +72,47 @@ func TestStripedEquivalence(t *testing.T) {
 					entities := testEntities(r, 400)
 					opts := Options{Mode: mode, Reorg: reorg, Norm: math.Inf(1),
 						SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 20)}
-					single := NewMemView(entities, HazyStrategy, opts)
+					single, err := NewStriped(entities, 1, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
 					striped := newStripedForTest(t, arch, entities, opts)
+					feats := make(map[int64]vector.Vector, len(entities))
+					for _, e := range entities {
+						feats[e.ID] = e.F
+					}
 					nextID := int64(len(entities))
 					check := func(step int) {
 						t.Helper()
+						model := single.Model()
+						var oracle []int64
+						for id, f := range feats {
+							if model.Predict(f) > 0 {
+								oracle = append(oracle, id)
+							}
+						}
+						oracle = sortedIDs(oracle)
 						sm, _ := single.Members()
 						tm, _ := striped.Members()
 						if got, want := sortedIDs(tm), sortedIDs(sm); !equalIDs(got, want) {
 							t.Fatalf("step %d: members diverge: striped %d ids, single %d ids", step, len(got), len(want))
 						}
+						if got := sortedIDs(sm); !equalIDs(got, oracle) {
+							t.Fatalf("step %d: %d members, from-scratch oracle %d", step, len(got), len(oracle))
+						}
 						sc, _ := single.CountMembers()
 						tc, _ := striped.CountMembers()
-						if sc != tc {
-							t.Fatalf("step %d: counts diverge: striped %d, single %d", step, tc, sc)
+						if sc != tc || sc != len(oracle) {
+							t.Fatalf("step %d: counts diverge: striped %d, single %d, oracle %d", step, tc, sc, len(oracle))
 						}
 						for id := int64(0); id < nextID; id += 7 {
 							sl, serr := single.Label(id)
 							tl, terr := striped.Label(id)
 							if (serr == nil) != (terr == nil) || sl != tl {
 								t.Fatalf("step %d: Label(%d) diverges: striped (%d,%v) single (%d,%v)", step, id, tl, terr, sl, serr)
+							}
+							if oracle := model.Predict(feats[id]); sl != oracle {
+								t.Fatalf("step %d: Label(%d) = %d, from-scratch oracle %d", step, id, sl, oracle)
 							}
 						}
 					}
@@ -115,6 +138,7 @@ func TestStripedEquivalence(t *testing.T) {
 							for n := 1 + r.Intn(4); n > 0; n-- {
 								e := Entity{ID: nextID, F: vector.NewDense([]float64{r.Float64() * 2, r.Float64() * 2})}
 								nextID++
+								feats[e.ID] = e.F
 								if err := single.Insert(e); err != nil {
 									t.Fatal(err)
 								}
@@ -165,7 +189,7 @@ func equalIDs(a, b []int64) bool {
 }
 
 // TestStripedEpsOrderMatchesUnstriped pins the physical agreement:
-// under ReorgAlways every stripe's stored model equals the unstriped
+// under ReorgAlways every stripe's stored model equals the one-stripe
 // view's, so eps values, the merged eps ordering (the ScanEps and
 // snapshot streams), EpsOf, and the UNCERTAIN walk must all be
 // identical to the single-stripe layout.
@@ -174,7 +198,10 @@ func TestStripedEpsOrderMatchesUnstriped(t *testing.T) {
 	entities := testEntities(r, 300)
 	opts := Options{Mode: Eager, Reorg: ReorgAlways, Norm: math.Inf(1),
 		SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 15)}
-	single := NewMemView(entities, HazyStrategy, opts)
+	single, err := NewStriped(entities, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	striped, err := NewStriped(entities, 4, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -323,5 +350,56 @@ func TestStripedLazyRespectsReorgNever(t *testing.T) {
 	}
 	if got := v.Stats().Reorgs; got != initial {
 		t.Fatalf("ReorgNever striped view reorganized: %d -> %d", initial, got)
+	}
+}
+
+// cursorProbeStore is a main-memory stripe whose Cursor can be made
+// to fail and whose cursors record that they were closed.
+type cursorProbeStore struct {
+	*memStripeStore
+	fail   bool
+	closed bool
+}
+
+type closeProbe struct {
+	RowCursor
+	closed *bool
+}
+
+func (c *closeProbe) Close() {
+	*c.closed = true
+	c.RowCursor.Close()
+}
+
+func (s *cursorProbeStore) Cursor(lo, hi float64, res *LabelResolver) (RowCursor, error) {
+	if s.fail {
+		return nil, fmt.Errorf("stripe cursor failed")
+	}
+	c, err := s.memStripeStore.Cursor(lo, hi, res)
+	if err != nil {
+		return nil, err
+	}
+	return &closeProbe{RowCursor: c, closed: &s.closed}, nil
+}
+
+// TestScanEpsClosesOpenedCursorsOnError: when one stripe's cursor
+// fails to open, ScanEps must close the cursors it already opened —
+// on disk they hold page pins — before returning the error.
+func TestScanEpsClosesOpenedCursorsOnError(t *testing.T) {
+	stores := []*cursorProbeStore{
+		{memStripeStore: newMemStripeStore()},
+		{memStripeStore: newMemStripeStore(), fail: true},
+	}
+	entities := testEntities(rand.New(rand.NewSource(1)), 20)
+	v, err := newStripedView(entities, 2, Options{}, MainMemory,
+		func(i int) (StripeStore, error) { return stores[i], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ScanEps(math.Inf(-1), math.Inf(1)); err == nil {
+		t.Fatal("ScanEps succeeded although stripe 1's cursor failed")
+	}
+	if !stores[0].closed {
+		t.Fatal("stripe 0's cursor was left open after stripe 1 failed")
 	}
 }

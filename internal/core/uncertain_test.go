@@ -16,7 +16,10 @@ func TestMostUncertainOrdering(t *testing.T) {
 	entities := testEntities(r, 200)
 	stream := trainingStream(r, 100)
 
-	mm := NewMemView(entities, HazyStrategy, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	mm, err := NewStriped(entities, 1, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dv, err := NewDiskView(t.TempDir(), 64, entities, HazyStrategy, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +70,7 @@ func TestMostUncertainOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("mm", mmGot, mm.wm.Stored())
+	check("mm", mmGot, mm.stripes[0].wm.Stored())
 	dvGot, err := dv.MostUncertain(k)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestMostUncertainOrdering(t *testing.T) {
 		t.Fatalf("overshoot: %d ids, err %v", len(all), err)
 	}
 	// Naive strategy has no eps ordering to exploit.
-	nv := NewMemView(entities, Naive, Options{})
+	nv := NewMemView(entities, Options{})
 	if _, err := nv.MostUncertain(3); err == nil {
 		t.Fatal("naive MostUncertain accepted")
 	}

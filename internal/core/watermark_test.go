@@ -67,7 +67,7 @@ func TestObserveEntityZeroMBandWidensToUncertain(t *testing.T) {
 }
 
 // TestLazyInsertHighNormEntity pins the read contract end to end: a
-// lazy Hazy MemView whose model has drifted since the last
+// lazy Hazy-MM view whose model has drifted since the last
 // reorganization receives a high-norm insert engineered to sit above
 // the pre-insert high water while the current model calls it
 // negative. Label must agree with the current model. (The view's
@@ -85,16 +85,20 @@ func TestLazyInsertHighNormEntity(t *testing.T) {
 	for i := range warm {
 		warm[i] = learn.Example{F: vector.NewDense([]float64{1, 0}), Label: 1}
 	}
-	v := NewMemView(entities, HazyStrategy, Options{
+	v, err := NewStriped(entities, 1, Options{
 		Mode: Lazy, Norm: math.Inf(1), SGD: learn.SGDConfig{Eta0: 0.5}, Warm: warm,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 6; i++ {
 		if err := v.Update(vector.NewDense([]float64{0, 1}), -1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stored, cur := v.wm.Stored(), v.trainer.Model()
-	_, hw := v.wm.Band()
+	wm := v.stripes[0].wm
+	stored, cur := wm.Stored(), v.trainer.Model()
+	_, hw := wm.Band()
 	if stored.W[0] <= 0 || cur.W[1] >= 0 || hw <= 0 {
 		t.Fatalf("test setup: stored.W=%v cur.W=%v hw=%g", stored.W, cur.W, hw)
 	}
@@ -103,8 +107,8 @@ func TestLazyInsertHighNormEntity(t *testing.T) {
 	a := (hw + stored.B + 1) / stored.W[0]
 	b := (a*cur.W[0] - cur.B + 1) / -cur.W[1]
 	f := vector.NewDense([]float64{a, b})
-	if v.wm.Eps(f) <= hw || cur.Predict(f) != -1 {
-		t.Fatalf("test setup: eps=%g hw=%g predict=%d", v.wm.Eps(f), hw, cur.Predict(f))
+	if wm.Eps(f) <= hw || cur.Predict(f) != -1 {
+		t.Fatalf("test setup: eps=%g hw=%g predict=%d", wm.Eps(f), hw, cur.Predict(f))
 	}
 	if err := v.Insert(Entity{ID: 99, F: f}); err != nil {
 		t.Fatal(err)

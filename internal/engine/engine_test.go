@@ -16,7 +16,7 @@ import (
 // two-dimensional feature space: "pos" entities live on axis 0, "neg"
 // entities on axis 1, so a handful of examples separates them.
 type memBackend struct {
-	view  *core.MemView
+	view  *core.StripedView
 	feats map[int64]vector.Vector
 
 	gate         chan struct{} // when non-nil, ApplyAdd blocks on it
@@ -48,7 +48,11 @@ func newMemBackend(t *testing.T) *memBackend {
 		b.feats[id] = f
 		entities = append(entities, core.Entity{ID: id, F: f})
 	}
-	b.view = core.NewMemView(entities, core.HazyStrategy, core.Options{})
+	view, err := core.NewStriped(entities, 1, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.view = view
 	return b
 }
 

@@ -32,10 +32,10 @@ func threeClassData(r *rand.Rand, n int) ([]core.Entity, []int) {
 
 func newMM(entities []core.Entity) func(int) (core.View, error) {
 	return func(int) (core.View, error) {
-		return core.NewMemView(entities, core.HazyStrategy, core.Options{
+		return core.New(core.MainMemory, core.HazyStrategy, "", 0, entities, core.Options{
 			Mode: core.Eager,
 			SGD:  learn.SGDConfig{Eta0: 0.5},
-		}), nil
+		})
 	}
 }
 
