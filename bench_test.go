@@ -176,7 +176,7 @@ func BenchmarkFig6bHybridBuffer(b *testing.B) {
 	for _, buf := range []float64{0.01, 0.10, 0.50} {
 		b.Run(fmt.Sprintf("buffer=%g%%", buf*100), func(b *testing.B) {
 			d := benchData(dataset.DBLife.Scale(benchScale))
-			v, err := core.NewHybridView(b.TempDir(), 1024, d.Entities, core.Options{
+			v, err := core.NewStripedHybrid(b.TempDir(), 1024, d.Entities, 1, core.Options{
 				Mode: core.Eager, SGD: learn.SGDConfig{Eta0: 0.5},
 				Warm: d.Stream(800), BufferFrac: buf,
 			})

@@ -1,10 +1,13 @@
 // Hybrid: the §3.5.2 architecture — a full on-disk Hazy view plus a
-// tiny ε-map and a bounded boundary buffer in memory. Shows the
-// memory footprint next to the data set size (Figure 6(A)) and how
-// the read path splits across ε-map / buffer / disk as the buffer
-// grows (Figure 6(B)). (Works at the core-view layer; through the
-// Session front door the same architecture is declared with
-// ARCHITECTURE HYBRID in CREATE CLASSIFICATION VIEW.)
+// tiny ε-map and a bounded boundary buffer in memory, built here as a
+// one-stripe StripedView over the hybrid store (the same thing
+// core.New returns for an unstriped hybrid). Shows the memory
+// footprint next to the data set size (Figure 6(A)) and how the read
+// path splits across ε-map / buffer / disk as the buffer grows
+// (Figure 6(B)), from the view's App. B.4 hit counters. (Works at the
+// core-view layer; through the Session front door the same
+// architecture is declared with ARCHITECTURE HYBRID in CREATE
+// CLASSIFICATION VIEW.) Run with: go run ./examples/hybrid
 package main
 
 import (
@@ -32,8 +35,8 @@ func main() {
 
 	warm := data.Stream(2000)
 	for _, bufFrac := range []float64{0.01, 0.10, 0.50} {
-		view, err := core.NewHybridView(
-			fmt.Sprintf("%s/buf-%g", scratch, bufFrac), 2048, data.Entities,
+		view, err := core.NewStripedHybrid(
+			fmt.Sprintf("%s/buf-%g", scratch, bufFrac), 2048, data.Entities, 1,
 			core.Options{
 				Mode:       core.Eager,
 				SGD:        learn.SGDConfig{Eta0: 0.5},

@@ -64,6 +64,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -790,6 +791,11 @@ func (db *DB) createClassificationView(spec ViewSpec, persist bool) (*ClassView,
 // buildView materializes a view and installs its triggers; it takes
 // no catalog locks.
 func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*ClassView, error) {
+	// The name names the view's directory, cleared below: it must stay
+	// a single path element under db.dir.
+	if strings.ContainsAny(spec.Name, `/\`) {
+		return nil, fmt.Errorf("hazy: view name %q must not contain a path separator", spec.Name)
+	}
 	if spec.FeatureFunction == "" {
 		spec.FeatureFunction = "tf_bag_of_words"
 	}
@@ -870,7 +876,15 @@ func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*Clas
 		MetricsName: spec.Name,
 		Pool:        db.pool,
 	}
-	view, err := core.New(spec.Arch, spec.Strategy, filepath.Join(db.dir, "view-"+spec.Name), spec.PoolPages, entities, opts)
+	// The view is recomputed from the tables at every build (§3.5.1), so
+	// nothing under its directory outlives a process: clear whatever an
+	// earlier one left there before the on-disk layouts reuse generation
+	// file names.
+	dir := filepath.Join(db.dir, "view-"+spec.Name)
+	if err := os.RemoveAll(dir); err != nil {
+		return nil, fmt.Errorf("hazy: view %q: %w", spec.Name, err)
+	}
+	view, err := core.New(spec.Arch, spec.Strategy, dir, spec.PoolPages, entities, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,7 +1058,9 @@ type EngineOptions = engine.Options
 // (the server's statement mutex does not cover them — prefer
 // disjoint tables per engined view, as the constraint suggests).
 // DetachEngine — or DB.Close — drains the queue and re-enables the
-// triggers. Requires a snapshot-capable (main-memory) view.
+// triggers. Requires a snapshot-capable view: every Hazy view (any
+// architecture) and the naive main-memory view; the naive on-disk
+// view is rejected.
 func (db *DB) AttachEngine(view string, opts EngineOptions) (*engine.Engine, error) {
 	if err := db.writable(); err != nil {
 		return nil, err

@@ -73,9 +73,9 @@ func RunFig6B(cfg Config, w io.Writer) error {
 				// the band to the target fraction.
 				Alpha: 1e12,
 			}
-			v, err := core.NewHybridView(
+			v, err := core.NewStripedHybrid(
 				fmt.Sprintf("%s/fig6b-%s-%g", cfg.Dir, target.label, buf),
-				cfg.PoolPages, d.Entities, opts)
+				cfg.PoolPages, d.Entities, 1, opts)
 			if err != nil {
 				return err
 			}

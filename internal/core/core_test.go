@@ -35,33 +35,29 @@ func trainingStream(r *rand.Rand, n int) []learn.Example {
 	return out
 }
 
-// allVariants constructs every architecture × strategy × mode combo.
+// allVariants constructs every architecture × strategy × mode combo
+// the factory supports, through New.
 func allVariants(t *testing.T, entities []Entity, opts Options) map[string]View {
 	t.Helper()
 	views := map[string]View{}
 	for _, mode := range []Mode{Eager, Lazy} {
 		o := opts
 		o.Mode = mode
-		views[fmt.Sprintf("mm/naive/%s", mode)] = NewMemView(entities, o)
-		sv, err := NewStriped(entities, 1, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[fmt.Sprintf("mm/hazy/%s", mode)] = sv
-		for _, strat := range []Strategy{Naive, HazyStrategy} {
-			name := fmt.Sprintf("od/%s/%s", strat, mode)
-			dv, err := NewDiskView(filepath.Join(t.TempDir(), name), 64, entities, strat, o)
+		for _, c := range []struct {
+			arch  Arch
+			strat Strategy
+		}{
+			{MainMemory, Naive}, {MainMemory, HazyStrategy},
+			{OnDisk, Naive}, {OnDisk, HazyStrategy},
+			{HybridArch, HazyStrategy},
+		} {
+			name := fmt.Sprintf("%s/%s/%s", c.arch, c.strat, mode)
+			v, err := New(c.arch, c.strat, filepath.Join(t.TempDir(), name), 64, entities, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			views[name] = dv
+			views[name] = v
 		}
-		name := fmt.Sprintf("hybrid/hazy/%s", mode)
-		hv, err := NewHybridView(filepath.Join(t.TempDir(), name), 64, entities, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[name] = hv
 	}
 	return views
 }
@@ -73,8 +69,8 @@ func sortedIDs(ids []int64) []int64 {
 }
 
 // TestAllVariantsAgree is the golden invariant: after every update,
-// all ten variants (architecture × strategy × mode; Hazy-MM is a
-// one-stripe StripedView) report identical labels for every entity
+// all ten variants (architecture × strategy × mode; every Hazy
+// variant is a one-stripe StripedView) report identical labels for every entity
 // and identical member sets — and they match an oracle that
 // classifies from scratch with the current model.
 func TestAllVariantsAgree(t *testing.T) {
@@ -321,39 +317,20 @@ func TestInsertEntityAllVariants(t *testing.T) {
 func TestDuplicateInsertRejected(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	entities := testEntities(r, 10)
-	sv, err := NewStriped(entities, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range map[string]View{"mm/naive": NewMemView(entities, Options{}), "mm/hazy": sv} {
+	for name, v := range allVariants(t, entities, Options{}) {
 		if err := v.Insert(Entity{ID: 5, F: vector.NewDense([]float64{1, 1})}); err == nil {
 			t.Fatalf("%s: duplicate insert accepted", name)
 		}
-	}
-	dv, err := NewDiskView(t.TempDir(), 16, entities, Naive, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dv.Close()
-	if err := dv.Insert(Entity{ID: 5, F: vector.NewDense([]float64{1, 1})}); err == nil {
-		t.Fatal("disk: duplicate insert accepted")
 	}
 }
 
 func TestLabelUnknownEntity(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	entities := testEntities(r, 10)
-	v := NewMemView(entities, Options{})
-	if _, err := v.Label(999); err == nil {
-		t.Fatal("mem: unknown entity labeled")
-	}
-	dv, err := NewDiskView(t.TempDir(), 16, entities, HazyStrategy, Options{Mode: Lazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dv.Close()
-	if _, err := dv.Label(999); err == nil {
-		t.Fatal("disk: unknown entity labeled")
+	for name, v := range allVariants(t, entities, Options{}) {
+		if _, err := v.Label(999); err == nil {
+			t.Fatalf("%s: unknown entity labeled", name)
+		}
 	}
 }
 
@@ -385,71 +362,94 @@ func TestHazyReorganizes(t *testing.T) {
 	}
 }
 
+// TestHybridHitsEpsMapMostly pins the App. B.4 hit accounting of the
+// hybrid, unstriped and striped: every Label counts exactly once, the
+// ε-map answers most reads, Stats reports the in-memory footprint
+// (Figure 6(A)), and with every entity buffered an eager in-band read
+// is answered from memory, never from disk.
 func TestHybridHitsEpsMapMostly(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	entities := testEntities(r, 400)
-	h, err := NewHybridView(t.TempDir(), 64, entities, Options{
-		Mode: Eager, BufferFrac: 0.05, SGD: learn.SGDConfig{Eta0: 0.3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	for _, ex := range trainingStream(r, 200) {
-		if err := h.Update(ex.F, ex.Label); err != nil {
-			t.Fatal(err)
+	for _, p := range []int{1, 4} {
+		for _, frac := range []float64{0.05, 1} {
+			t.Run(fmt.Sprintf("P%d/buffer%g", p, frac), func(t *testing.T) {
+				r := rand.New(rand.NewSource(4))
+				entities := testEntities(r, 400)
+				v, err := New(HybridArch, HazyStrategy, t.TempDir(), 64, entities, Options{
+					Mode: Eager, BufferFrac: frac, Partitions: p, SGD: learn.SGDConfig{Eta0: 0.3},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := v.(*StripedView)
+				defer h.Close()
+				for _, ex := range trainingStream(r, 200) {
+					if err := h.Update(ex.F, ex.Label); err != nil {
+						t.Fatal(err)
+					}
+				}
+				model := h.Model()
+				for i := 0; i < 1000; i++ {
+					id := int64(r.Intn(len(entities)))
+					got, err := h.Label(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := model.Predict(entities[id].F); got != want {
+						t.Fatalf("Label(%d) = %d, oracle %d", id, got, want)
+					}
+				}
+				epsHits, bufHits, diskHits := h.Hits()
+				if total := epsHits + bufHits + diskHits; total != 1000 {
+					t.Fatalf("hits sum %d", total)
+				}
+				if epsHits == 0 {
+					t.Fatal("ε-map never hit")
+				}
+				if frac == 1 && diskHits != 0 {
+					t.Fatalf("%d reads went to disk with every entity buffered", diskHits)
+				}
+				st := h.Stats()
+				if st.EpsMapBytes != int64(len(entities))*16 {
+					t.Fatalf("eps-map bytes %d", st.EpsMapBytes)
+				}
+				if st.BufferBytes <= 0 {
+					t.Fatalf("buffer bytes %d", st.BufferBytes)
+				}
+			})
 		}
-	}
-	for i := 0; i < 1000; i++ {
-		id := int64(r.Intn(len(entities)))
-		if _, err := h.Label(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	epsHits, bufHits, diskHits := h.Hits()
-	total := epsHits + bufHits + diskHits
-	if total != 1000 {
-		t.Fatalf("hits sum %d", total)
-	}
-	if epsHits == 0 {
-		t.Fatal("ε-map never hit")
-	}
-	st := h.Stats()
-	if st.EpsMapBytes != int64(len(entities))*16 {
-		t.Fatalf("eps-map bytes %d", st.EpsMapBytes)
-	}
-	if st.BufferBytes <= 0 {
-		t.Fatalf("buffer bytes %d", st.BufferBytes)
 	}
 }
 
 func TestFactory(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	entities := testEntities(r, 20)
+	// Every Hazy view is a StripedView: unstriped means one stripe.
 	for _, arch := range []Arch{MainMemory, OnDisk, HybridArch} {
-		strat := HazyStrategy
-		v, err := New(arch, strat, t.TempDir(), 16, entities, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
-		}
-		if _, err := v.CountMembers(); err != nil {
-			t.Fatalf("%v count: %v", arch, err)
-		}
-	}
-	// Hazy-MM is always a StripedView: unstriped means one stripe.
-	for _, p := range []int{0, 1} {
-		v, err := New(MainMemory, HazyStrategy, "", 0, entities, Options{Partitions: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sv, ok := v.(*StripedView); !ok || sv.Stripes() != 1 {
-			t.Fatalf("mm/hazy Partitions %d: %T, want a one-stripe *StripedView", p, v)
+		for _, p := range []int{0, 1} {
+			v, err := New(arch, HazyStrategy, t.TempDir(), 16, entities, Options{Partitions: p})
+			if err != nil {
+				t.Fatalf("%v: %v", arch, err)
+			}
+			sv, ok := v.(*StripedView)
+			if !ok || sv.Stripes() != 1 || sv.Arch() != arch {
+				t.Fatalf("%s/hazy Partitions %d: %T, want a one-stripe %s *StripedView", arch, p, v, arch)
+			}
+			if _, err := v.CountMembers(); err != nil {
+				t.Fatalf("%v count: %v", arch, err)
+			}
+			sv.Close()
 		}
 	}
 	if v, err := New(MainMemory, Naive, "", 0, entities, Options{}); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*MemView); !ok {
 		t.Fatalf("mm/naive: %T, want *MemView", v)
+	}
+	if v, err := New(OnDisk, Naive, t.TempDir(), 16, entities, Options{}); err != nil {
+		t.Fatal(err)
+	} else if dv, ok := v.(*DiskView); !ok {
+		t.Fatalf("od/naive: %T, want *DiskView", v)
+	} else {
+		dv.Close()
 	}
 	if _, err := New(MainMemory, Naive, "", 0, entities, Options{Partitions: 2}); err == nil {
 		t.Fatal("striped naive accepted")

@@ -2,8 +2,11 @@ package core
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
+	"sync/atomic"
 
+	"hazy/internal/learn"
 	"hazy/internal/storage"
 	"hazy/internal/vector"
 )
@@ -13,10 +16,11 @@ import (
 // buffer pool, in the stripe's own subdirectory. Giving every stripe
 // its own diskTable (instead of key-prefixed ranges in one shared
 // tree) keeps the parallel sections genuinely independent — no shared
-// pager lock, no cross-stripe page contention — and makes the
-// per-stripe reorganization exactly the single-view Rebuild: scan,
-// sort n/P records, and bulk-load a fresh generation with batched
-// page writes through the buffer pool.
+// pager lock, no cross-stripe page contention — and makes each
+// per-stripe reorganization one diskTable Rebuild: scan, sort n/P
+// records, and bulk-load a fresh generation with batched page writes
+// through the buffer pool. An unstriped Hazy-OD view is one such
+// stripe.
 type diskStripeStore struct {
 	dt *diskTable
 }
@@ -52,11 +56,36 @@ func (s *diskStripeStore) Insert(id int64, eps float64, class int, f vector.Vect
 
 func (s *diskStripeStore) EpsOf(id int64) (float64, error) { return s.dt.GetEps(id) }
 
-func (s *diskStripeStore) Class(id int64) (int, error) { return s.dt.GetClass(id) }
-
-func (s *diskStripeStore) FeatureOf(id int64) (vector.Vector, error) {
-	_, _, f, err := s.dt.Get(id)
-	return f, err
+// Label reads id's record once: the stored eps for the watermark test,
+// then the class byte (eager) or the feature vector, decoded in place
+// under the page pin (lazy).
+func (s *diskStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager bool) (int, error) {
+	rid, ok := s.dt.byID[id]
+	if !ok {
+		return 0, fmt.Errorf("core: no entity %d", id)
+	}
+	var label int
+	err := s.dt.heap.View(rid, func(rec []byte) error {
+		eps, err := decodeEps(rec)
+		if err != nil {
+			return err
+		}
+		var certain bool
+		if label, certain = wm.Test(eps); certain {
+			return nil
+		}
+		if eager {
+			label = decodeClass(rec[recClassOff])
+			return nil
+		}
+		_, _, _, f, err := decodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		label = cur.Predict(f)
+		return nil
+	})
+	return label, err
 }
 
 func (s *diskStripeStore) Rebuild(epsOf func(f vector.Vector) float64) error {
@@ -109,24 +138,26 @@ func (s *diskStripeStore) Cursor(lo, hi float64, res *LabelResolver) (RowCursor,
 
 func (s *diskStripeStore) Close() error { return s.dt.Close() }
 
-// IOStats exposes the stripe's physical I/O counters.
-func (s *diskStripeStore) IOStats() storage.IOStats { return s.dt.Stats() }
-
 // hybridStripeStore adds the §3.5.2 in-memory summaries to the
 // on-disk stripe: the ε-map (id → eps, no feature vectors) answers
 // every eps lookup without touching disk, and a bounded buffer of the
-// entities nearest the decision boundary absorbs most feature-vector
-// reads in the uncertain band. Both are rebuilt after every
-// reorganization — part of the hybrid's "more expensive resort"
-// (App. C.2) — which the generic striped layer triggers through
-// Rebuild, so the lazy-mode waste discipline composes per stripe with
-// no extra wiring.
+// entities nearest the decision boundary absorbs most reads in the
+// uncertain band. Both are rebuilt inside Rebuild, after every
+// reorganization: that rebuild is the hybrid's "more expensive resort"
+// (App. C.2) and is timed into the stripe's Skiing cost S, and
+// because the generic striped layer triggers it, the lazy-mode waste
+// discipline composes per stripe with no extra wiring.
 type hybridStripeStore struct {
 	*diskStripeStore
 	frac      float64
 	bufferCap int
 	epsMap    map[int64]float64
 	buffer    map[int64]vector.Vector
+
+	// Hit counters are atomic: Label is a read and runs beside other
+	// readers (App. C.2), so its bookkeeping must not introduce a
+	// write-write race.
+	hitEps, hitBuffer, hitDisk atomic.Int64
 }
 
 func newHybridStripeStore(dir string, poolPages int, bufferFrac float64) (*hybridStripeStore, error) {
@@ -201,13 +232,30 @@ func (s *hybridStripeStore) EpsOf(id int64) (float64, error) {
 	return s.diskStripeStore.EpsOf(id)
 }
 
-// FeatureOf serves boundary-near vectors from the buffer (App. B.4's
-// second stop) before falling back to disk.
-func (s *hybridStripeStore) FeatureOf(id int64) (vector.Vector, error) {
-	if f, ok := s.buffer[id]; ok {
-		return f, nil
+// Label implements the App. B.4 lookup: the watermark test on the
+// ε-map, then the buffer — whose vectors are classified under the
+// current model in either mode (in eager mode that equals the
+// maintained class, since the band was swept under it) — then disk.
+// Every call counts exactly one hit.
+func (s *hybridStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager bool) (int, error) {
+	if eps, ok := s.epsMap[id]; ok {
+		if label, certain := wm.Test(eps); certain {
+			s.hitEps.Add(1)
+			return label, nil
+		}
+		if f, ok := s.buffer[id]; ok {
+			s.hitBuffer.Add(1)
+			return cur.Predict(f), nil
+		}
 	}
-	return s.diskStripeStore.FeatureOf(id)
+	s.hitDisk.Add(1)
+	return s.diskStripeStore.Label(id, wm, cur, eager)
+}
+
+// Hits reports how many Single Entity reads the ε-map filter, the
+// buffer, and disk answered, respectively.
+func (s *hybridStripeStore) Hits() (epsMap, buffer, disk int64) {
+	return s.hitEps.Load(), s.hitBuffer.Load(), s.hitDisk.Load()
 }
 
 // MemoryFootprint reports the summaries' sizes for Stats (Figure
@@ -219,6 +267,28 @@ func (s *hybridStripeStore) MemoryFootprint() (epsMapBytes, bufferBytes int64) {
 		bufferBytes += int64(8 + f.EncodedSize())
 	}
 	return epsMapBytes, bufferBytes
+}
+
+// bufferEntry orders buffered candidates by distance from the
+// boundary (larger |eps| = worse candidate, evicted first).
+type bufferEntry struct {
+	id  int64
+	abs float64
+	f   vector.Vector
+}
+
+type bufferHeap []bufferEntry
+
+func (h bufferHeap) Len() int           { return len(h) }
+func (h bufferHeap) Less(i, j int) bool { return h[i].abs > h[j].abs } // max-heap on |eps|
+func (h bufferHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *bufferHeap) Push(x any)        { *h = append(*h, x.(bufferEntry)) }
+func (h *bufferHeap) Pop() (out any) {
+	old := *h
+	n := len(old)
+	out = old[n-1]
+	*h = old[:n-1]
+	return out
 }
 
 var (

@@ -48,6 +48,14 @@ func decodeClass(b byte) int {
 	return -1
 }
 
+// decodeEps reads a record's stored eps without decoding the vector.
+func decodeEps(rec []byte) (float64, error) {
+	if len(rec) < recVecOff {
+		return 0, fmt.Errorf("core: short disk record (%d bytes)", len(rec))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[recEpsOff:])), nil
+}
+
 func decodeRecord(rec []byte) (id int64, eps float64, class int, f vector.Vector, err error) {
 	if len(rec) < recVecOff {
 		return 0, 0, 0, vector.Vector{}, fmt.Errorf("core: short disk record (%d bytes)", len(rec))
@@ -124,9 +132,6 @@ func (dt *diskTable) Close() error { return dt.pager.Close() }
 
 // Len returns the number of stored entities.
 func (dt *diskTable) Len() int { return dt.n }
-
-// Stats returns physical I/O counters for the current generation.
-func (dt *diskTable) Stats() storage.IOStats { return dt.pager.Stats() }
 
 // Insert appends one entity record.
 func (dt *diskTable) Insert(id int64, eps float64, class int, f vector.Vector) error {

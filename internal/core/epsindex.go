@@ -1,13 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"hazy/internal/btree"
-	"hazy/internal/learn"
 	"hazy/internal/storage"
 )
 
@@ -36,9 +33,10 @@ type RowCursor interface {
 // EpsIndexed is implemented by view layouts that maintain the eps
 // clustering and can expose it: per-entity eps point reads and
 // streaming eps-range scans. Clustered reports whether the instance
-// actually has the clustering (the Hazy strategy) — the naive on-disk
-// layout carries no eps and answers false, and the naive main-memory
-// MemView does not implement the interface at all.
+// actually has the clustering (the Hazy strategy) — a snapshot of a
+// naive view carries no eps and answers false, and the naive views
+// themselves (MemView, DiskView) do not implement the interface at
+// all.
 type EpsIndexed interface {
 	Clustered() bool
 	EpsOf(id int64) (float64, error)
@@ -103,28 +101,14 @@ func (s *Snapshot) ScanEps(lo, hi float64) (RowCursor, error) {
 	return &sliceCursor{entries: s.entries[a:b]}, nil
 }
 
-// DiskView ------------------------------------------------------------
-
-// Clustered reports whether the on-disk table keeps the (eps, id)
-// B+-tree.
-func (v *DiskView) Clustered() bool { return v.strategy == HazyStrategy }
-
-// EpsOf returns the entity's stored eps, reading only the record
-// header (no feature-vector decode).
-func (v *DiskView) EpsOf(id int64) (float64, error) {
-	if v.strategy != HazyStrategy {
-		return 0, errNotClustered
-	}
-	return v.dt.GetEps(id)
-}
+// On-disk stores ------------------------------------------------------
 
 // diskCursor drives a B+-tree cursor over [lo, hi], resolving each
 // row's label through a LabelResolver: nil reads the maintained class
 // byte (eager); a lazy resolver tests the watermarks and only decodes
 // the feature vector for rows inside the band, where the current
-// model must decide. It serves both the unstriped DiskView and the
-// per-stripe disk stores, neither of which it knows about — just a
-// table and a policy.
+// model must decide. It knows nothing of the stripe it serves — just
+// a table and a policy.
 type diskCursor struct {
 	dt  *diskTable
 	res *LabelResolver
@@ -211,24 +195,6 @@ func (c *diskCursor) rowLabel(k btree.Key, rid storage.RID) (int, error) {
 	return label, err
 }
 
-// lazyResolver builds the lazy-mode label policy from a view's
-// watermark and current model; eager mode resolves to nil (the
-// maintained class byte is exact).
-func lazyResolver(mode Mode, wm *Watermark, cur *learn.Model) *LabelResolver {
-	if mode != Lazy {
-		return nil
-	}
-	return &LabelResolver{Test: wm.Test, Predict: cur.Predict}
-}
-
-// ScanEps streams the indexed rows with eps ∈ [lo, hi] in key order.
-func (v *DiskView) ScanEps(lo, hi float64) (RowCursor, error) {
-	if v.strategy != HazyStrategy {
-		return nil, errNotClustered
-	}
-	return v.dt.cursor(lo, hi, lazyResolver(v.opts.Mode, v.wm, v.trainer.Model()))
-}
-
 // GetEps reads just the eps field of id's record.
 func (dt *diskTable) GetEps(id int64) (float64, error) {
 	rid, ok := dt.byID[id]
@@ -236,29 +202,11 @@ func (dt *diskTable) GetEps(id int64) (float64, error) {
 		return 0, fmt.Errorf("core: no entity %d", id)
 	}
 	var eps float64
-	err := dt.heap.View(rid, func(rec []byte) error {
-		if len(rec) < recVecOff {
-			return fmt.Errorf("core: short disk record (%d bytes)", len(rec))
-		}
-		eps = math.Float64frombits(binary.LittleEndian.Uint64(rec[recEpsOff:]))
-		return nil
+	err := dt.heap.View(rid, func(rec []byte) (err error) {
+		eps, err = decodeEps(rec)
+		return err
 	})
 	return eps, err
 }
 
-// HybridView ----------------------------------------------------------
-
-// EpsOf answers from the in-memory ε-map (App. B.4's first stop)
-// before falling back to disk.
-func (h *HybridView) EpsOf(id int64) (float64, error) {
-	if eps, ok := h.epsMap[id]; ok {
-		return eps, nil
-	}
-	return h.DiskView.EpsOf(id)
-}
-
-var (
-	_ EpsIndexed = (*Snapshot)(nil)
-	_ EpsIndexed = (*DiskView)(nil)
-	_ EpsIndexed = (*HybridView)(nil)
-)
+var _ EpsIndexed = (*Snapshot)(nil)

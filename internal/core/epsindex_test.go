@@ -46,27 +46,17 @@ func TestEpsIndexAgreesAcrossLayouts(t *testing.T) {
 			}
 		}
 	}
-	// The naive layouts have no clustering and must say so (the naive
-	// main-memory view by not exposing the surface at all).
+	// The naive layouts have no clustering and say so by not exposing
+	// the surface at all.
 	for name, v := range views {
 		ei, ok := v.(EpsIndexed)
-		if !ok {
-			if strings.HasPrefix(name, "mm/naive/") {
-				continue
-			}
-			t.Fatalf("%s: no EpsIndexed surface", name)
-		}
-		if clustered := ei.Clustered(); clustered != strings.Contains(name, "hazy") {
-			t.Fatalf("%s: Clustered() = %v", name, clustered)
+		if naive := strings.Contains(name, "/naive/"); ok == naive {
+			t.Fatalf("%s: EpsIndexed surface = %v", name, ok)
+		} else if naive {
+			continue
 		}
 		if !ei.Clustered() {
-			if _, err := ei.EpsOf(0); err == nil {
-				t.Fatalf("%s: EpsOf on unclustered layout succeeded", name)
-			}
-			if _, err := ei.ScanEps(-1, 1); err == nil {
-				t.Fatalf("%s: ScanEps on unclustered layout succeeded", name)
-			}
-			continue
+			t.Fatalf("%s: Hazy layout not clustered", name)
 		}
 
 		full := collect(t, ei, math.Inf(-1), math.Inf(1))
@@ -142,5 +132,20 @@ func TestEpsIndexAgreesAcrossLayouts(t *testing.T) {
 	}
 	if got := collect(t, mm, 1, -1); len(got) != 0 {
 		t.Fatalf("inverted main-memory range returned %d rows", len(got))
+	}
+
+	// A naive view's snapshot is unclustered and says so.
+	naive, err := views["mm/naive/eager"].(Snapshotter).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Clustered() {
+		t.Fatal("naive snapshot claims clustering")
+	}
+	if _, err := naive.EpsOf(0); err == nil {
+		t.Fatal("EpsOf on an unclustered snapshot succeeded")
+	}
+	if _, err := naive.ScanEps(-1, 1); err == nil {
+		t.Fatal("ScanEps on an unclustered snapshot succeeded")
 	}
 }

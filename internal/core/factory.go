@@ -17,10 +17,10 @@ type builder func(dir string, poolPages int, entities []Entity, opts Options) (V
 // combination absent from the table is unsupported and New explains
 // why instead of guessing — the structural hole is the hybrid
 // architecture without the Hazy strategy (its ε-map and boundary
-// buffer are summaries of the eps clustering). Hazy-MM has one
-// implementation, StripedView: an unstriped main-memory view is one
-// stripe. The on-disk and hybrid Hazy layouts stripe only when asked
-// to (Partitions > 1).
+// buffer are summaries of the eps clustering). The Hazy strategy has
+// one implementation, StripedView, over one StripeStore per
+// architecture: an unstriped view is one stripe. The naive strategy
+// is the from-scratch baseline, MemView or DiskView.
 var layouts = map[viewKey]builder{
 	{MainMemory, HazyStrategy}: func(_ string, _ int, entities []Entity, opts Options) (View, error) {
 		return NewStriped(entities, max(1, opts.Partitions), opts)
@@ -29,29 +29,22 @@ var layouts = map[viewKey]builder{
 		return NewMemView(entities, opts), nil
 	},
 	{OnDisk, HazyStrategy}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-		if opts.Partitions > 1 {
-			return NewStripedDisk(dir, poolPages, entities, opts.Partitions, opts)
-		}
-		return NewDiskView(dir, poolPages, entities, HazyStrategy, opts)
+		return NewStripedDisk(dir, poolPages, entities, max(1, opts.Partitions), opts)
 	},
 	{OnDisk, Naive}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-		return NewDiskView(dir, poolPages, entities, Naive, opts)
+		return NewDiskView(dir, poolPages, entities, opts)
 	},
 	{HybridArch, HazyStrategy}: func(dir string, poolPages int, entities []Entity, opts Options) (View, error) {
-		if opts.Partitions > 1 {
-			return NewStripedHybrid(dir, poolPages, entities, opts.Partitions, opts)
-		}
-		return NewHybridView(dir, poolPages, entities, opts)
+		return NewStripedHybrid(dir, poolPages, entities, max(1, opts.Partitions), opts)
 	},
 }
 
 // New constructs a view of the requested architecture and strategy
 // from the capability table. dir is used only by the on-disk and
-// hybrid architectures (their page files live under it; striped
-// layouts keep one subdirectory per stripe); poolPages sizes their
-// buffer pool (split across stripes when striped). opts.Partitions >
-// 1 selects the partition-striped layout of the same architecture —
-// every architecture stripes under the Hazy strategy.
+// hybrid architectures (their page files live under it, one
+// subdirectory per stripe for the Hazy strategy); poolPages sizes
+// their buffer pool (split across stripes). opts.Partitions stripes a
+// Hazy view of any architecture (0 and 1 both mean one stripe).
 func New(arch Arch, strategy Strategy, dir string, poolPages int, entities []Entity, opts Options) (View, error) {
 	if opts.Partitions > 1 && strategy != HazyStrategy {
 		return nil, fmt.Errorf("core: striping (PARTITIONS %d) requires the Hazy strategy: the %s strategy keeps no eps clustering for the stripes to maintain", opts.Partitions, strategy)

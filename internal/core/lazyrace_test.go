@@ -35,17 +35,19 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 			return v
 		},
 		"od": func(t *testing.T, opts Options) View {
-			v, err := NewDiskView(filepath.Join(t.TempDir(), "od"), 64, entities, HazyStrategy, opts)
+			v, err := NewStripedDisk(filepath.Join(t.TempDir(), "od"), 64, entities, 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { v.Close() })
 			return v
 		},
 		"hybrid": func(t *testing.T, opts Options) View {
-			v, err := NewHybridView(filepath.Join(t.TempDir(), "hybrid"), 64, entities, opts)
+			v, err := NewStripedHybrid(filepath.Join(t.TempDir(), "hybrid"), 64, entities, 1, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { v.Close() })
 			return v
 		},
 		"striped": func(t *testing.T, opts Options) View {
@@ -177,15 +179,28 @@ func TestLazyMembersRaceAgainstIngest(t *testing.T) {
 // waste-triggered reorganization through Members and check every
 // Label against the model oracle.
 func TestHybridLazyMembersReorgRebuildsMemory(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
+	hybridLazyMembersReorg(t, 1, 17)
+}
+
+// TestStripedHybridLazyMembersReorg is the striped composition of the
+// same regression: each stripe reorganizes through the generic
+// Rebuild — which for the hybrid store must also rebuild that stripe's
+// ε-map and boundary buffer.
+func TestStripedHybridLazyMembersReorg(t *testing.T) {
+	hybridLazyMembersReorg(t, 4, 29)
+}
+
+func hybridLazyMembersReorg(t *testing.T, partitions int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
 	entities := testEntities(r, 150)
-	v, err := NewHybridView(t.TempDir(), 64, entities, Options{
+	v, err := NewStripedHybrid(t.TempDir(), 128, entities, partitions, Options{
 		Mode: Lazy, Norm: math.Inf(1), Alpha: 1e-6, // reorganize at the slightest waste
 		SGD: learn.SGDConfig{Eta0: 0.5}, Warm: trainingStream(r, 10),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer v.Close()
 	before := v.Stats().Reorgs
 	reorged := false
 	for i := 0; i < 200 && !reorged; i++ {
@@ -211,51 +226,6 @@ func TestHybridLazyMembersReorgRebuildsMemory(t *testing.T) {
 		}
 		if want := model.Predict(e.F); label != want {
 			t.Fatalf("entity %d: Label=%d oracle=%d after read-path reorganization", e.ID, label, want)
-		}
-	}
-}
-
-// TestStripedHybridLazyMembersReorg is the striped composition of the
-// same regression: a lazy All Members read on a striped hybrid view
-// trips per-stripe waste thresholds, each stripe reorganizes through
-// the generic Rebuild — which for the hybrid store must also rebuild
-// that stripe's ε-map and boundary buffer — and every Label must then
-// agree with the model oracle (a stale per-stripe ε-map would answer
-// certainty tests with keys of the old stored model).
-func TestStripedHybridLazyMembersReorg(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	entities := testEntities(r, 150)
-	v, err := NewStripedHybrid(t.TempDir(), 128, entities, 4, Options{
-		Mode: Lazy, Norm: math.Inf(1), Alpha: 1e-6, // reorganize at the slightest waste
-		SGD: learn.SGDConfig{Eta0: 0.5}, Warm: trainingStream(r, 10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	before := v.Stats().Reorgs
-	reorged := false
-	for i := 0; i < 200 && !reorged; i++ {
-		ex := trainingStream(r, 1)[0]
-		if err := v.Update(ex.F, ex.Label); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.CountMembers(); err != nil {
-			t.Fatal(err)
-		}
-		reorged = v.Stats().Reorgs > before
-	}
-	if !reorged {
-		t.Fatal("test setup: no waste-triggered reorganization fired")
-	}
-	model := v.Model()
-	for _, e := range entities {
-		label, err := v.Label(e.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := model.Predict(e.F); label != want {
-			t.Fatalf("entity %d: Label=%d oracle=%d after striped read-path reorganization", e.ID, label, want)
 		}
 	}
 }

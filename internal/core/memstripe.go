@@ -85,20 +85,18 @@ func (s *memStripeStore) EpsOf(id int64) (float64, error) {
 	return ent.eps, nil
 }
 
-func (s *memStripeStore) Class(id int64) (int, error) {
+func (s *memStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager bool) (int, error) {
 	ent, err := s.lookup(id)
 	if err != nil {
 		return 0, err
 	}
-	return int(ent.label), nil
-}
-
-func (s *memStripeStore) FeatureOf(id int64) (vector.Vector, error) {
-	ent, err := s.lookup(id)
-	if err != nil {
-		return vector.Vector{}, err
+	if label, certain := wm.Test(ent.eps); certain {
+		return label, nil
 	}
-	return ent.f, nil
+	if eager {
+		return int(ent.label), nil
+	}
+	return cur.Predict(ent.f), nil
 }
 
 func (s *memStripeStore) Rebuild(epsOf func(f vector.Vector) float64) error {

@@ -174,3 +174,5 @@ func (v *MemView) Snapshot() (*Snapshot, error) {
 	}
 	return s, nil
 }
+
+var _ View = (*MemView)(nil)

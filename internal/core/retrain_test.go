@@ -106,7 +106,7 @@ func TestReorgPolicyOnDisk(t *testing.T) {
 	entities := testEntities(r, 80)
 	stream := trainingStream(r, 40)
 	for _, p := range []ReorgPolicy{ReorgNever, ReorgAlways} {
-		v, err := NewDiskView(t.TempDir(), 32, entities, HazyStrategy, Options{
+		v, err := NewStripedDisk(t.TempDir(), 32, entities, 1, Options{
 			Mode: Eager, Reorg: p, SGD: learn.SGDConfig{Eta0: 0.3},
 		})
 		if err != nil {
@@ -128,6 +128,10 @@ func TestReorgPolicyOnDisk(t *testing.T) {
 		if err != nil || cnt != want {
 			t.Fatalf("%v: count %d want %d (%v)", p, cnt, want, err)
 		}
+		wantReorgs := map[ReorgPolicy]int{ReorgNever: 1, ReorgAlways: len(stream) + 1}[p]
+		if got := v.Stats().Reorgs; got != wantReorgs {
+			t.Fatalf("%v reorganized %d times, want %d", p, got, wantReorgs)
+		}
 		v.Close()
 	}
 }
@@ -144,7 +148,7 @@ func TestReorgPolicyStrings(t *testing.T) {
 func TestRetrainHybridRefreshesEpsMap(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	entities := testEntities(r, 120)
-	h, err := NewHybridView(t.TempDir(), 64, entities, Options{
+	h, err := NewStripedHybrid(t.TempDir(), 64, entities, 1, Options{
 		Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3},
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"hazy/internal/learn"
 	"hazy/internal/obs"
 	"hazy/internal/sched"
-	"hazy/internal/storage"
 	"hazy/internal/vector"
 )
 
@@ -45,18 +44,19 @@ import (
 // only eps values (taken against per-stripe stored models) may differ
 // once stripes reorganize at different times.
 //
-// With one stripe this is the whole Hazy-MM architecture (§3.5.1):
-// the main-memory Hazy strategy has no other implementation, so an
-// "unstriped" main-memory view is a one-stripe StripedView.
+// With one stripe this is the whole of one Hazy architecture — Hazy-MM
+// (§3.5.1), Hazy-OD, or the hybrid (§3.5.2): the Hazy strategy has no
+// other implementation, so an "unstriped" Hazy view is a one-stripe
+// StripedView.
 //
-// Unlike the unstriped on-disk layouts, a batch observes only the
-// batch-final model into each stripe's watermarks. That is sound
-// because intermediate models inside a batch never stamp labels and
-// never serve reads — the extrema of Eq. (2) only need to cover every
-// model that did either — and it keeps the per-stripe observation
-// cost at one drift norm per batch instead of one per example.
+// A batch observes only the batch-final model into each stripe's
+// watermarks. That is sound because intermediate models inside a
+// batch never stamp labels and never serve reads — the extrema of
+// Eq. (2) only need to cover every model that did either — and it
+// keeps the per-stripe observation cost at one drift norm per batch
+// instead of one per example.
 //
-// Like the unstriped layouts, a StripedView requires external
+// Like the naive layouts, a StripedView requires external
 // serialization between writers and readers (the database's statement
 // mutex, DB.StatementMu; the serving engine; or single-threaded use);
 // every parallel section is bounded by the call that opened it (the
@@ -118,21 +118,23 @@ func NewStriped(entities []Entity, partitions int, opts Options) (*StripedView, 
 		func(int) (StripeStore, error) { return newMemStripeStore(), nil })
 }
 
-// NewStripedDisk builds a partition-striped on-disk view with the
-// Hazy strategy: each stripe keeps its own clustered generation file
-// (heap + B+-tree) in a subdirectory of dir behind a private share of
-// the poolPages buffer-pool budget, so per-stripe reorganizations
-// rewrite n/P records with batched page IO and no cross-stripe page
-// or latch contention.
+// NewStripedDisk builds an on-disk view with the Hazy strategy (Hazy-
+// OD), hash-partitioned into partitions stripes; 1 is the unstriped
+// view. Each stripe keeps its own clustered generation file (heap +
+// B+-tree) in a subdirectory of dir behind a private share of the
+// poolPages buffer-pool budget, so per-stripe reorganizations rewrite
+// n/P records with batched page IO and no cross-stripe page or latch
+// contention.
 func NewStripedDisk(dir string, poolPages int, entities []Entity, partitions int, opts Options) (*StripedView, error) {
 	per := stripePoolPages(poolPages, partitions)
 	return newStripedView(entities, partitions, opts, OnDisk,
 		func(i int) (StripeStore, error) { return newDiskStripeStore(stripeDir(dir, i), per) })
 }
 
-// NewStripedHybrid builds a partition-striped hybrid view (§3.5.2):
-// the striped on-disk layout plus a per-stripe ε-map and boundary
-// buffer, rebuilt after every per-stripe reorganization.
+// NewStripedHybrid builds a hybrid view (§3.5.2), hash-partitioned
+// into partitions stripes; 1 is the unstriped view. It is the on-disk
+// layout plus a per-stripe ε-map and boundary buffer, rebuilt after
+// every per-stripe reorganization.
 func NewStripedHybrid(dir string, poolPages int, entities []Entity, partitions int, opts Options) (*StripedView, error) {
 	opts = opts.withDefaults()
 	per := stripePoolPages(poolPages, partitions)
@@ -229,20 +231,6 @@ func (v *StripedView) Close() error {
 		}
 	}
 	return first
-}
-
-// IOStats aggregates physical I/O counters across disk-resident
-// stripes (zero for the main-memory layout).
-func (v *StripedView) IOStats() storage.IOStats {
-	var total storage.IOStats
-	for _, st := range v.stripes {
-		if io, ok := st.store.(interface{ IOStats() storage.IOStats }); ok {
-			s := io.IOStats()
-			total.PhysicalReads += s.PhysicalReads
-			total.PhysicalWrites += s.PhysicalWrites
-		}
-	}
-	return total
 }
 
 // forStripes runs fn once per stripe as a scatter on the shared
@@ -372,37 +360,35 @@ func (v *StripedView) InsertBatch(entities []Entity) []error {
 	return errs
 }
 
-// Label answers a Single Entity read with the layout-generic form of
-// the App. B.4 lookup: the stored eps (which the hybrid store serves
-// from its ε-map) against the stripe's watermarks first; inside the
-// band, eager mode reads the maintained class and lazy mode
-// classifies the feature vector (which the hybrid store serves from
-// its boundary buffer before touching disk) under the current model.
+// Label answers a Single Entity read through the stripe store's form
+// of the App. B.4 lookup: the stored eps against the stripe's
+// watermarks first; inside the band, the maintained class (eager) or
+// the feature vector classified under the current model (lazy). The
+// hybrid store answers from its ε-map and boundary buffer before
+// touching disk, and counts where each read was served (Hits).
 func (v *StripedView) Label(id int64) (int, error) {
 	st := v.stripes[stripeOf(id, len(v.stripes))]
-	eps, err := st.store.EpsOf(id)
-	if err != nil {
-		return 0, err
+	return st.store.Label(id, st.wm, v.trainer.Model(), v.opts.Mode == Eager)
+}
+
+// Hits reports how many Single Entity reads the hybrid stripes served
+// from their ε-maps, their boundary buffers, and disk, respectively
+// (App. B.4; all zero for the other layouts).
+func (v *StripedView) Hits() (epsMap, buffer, disk int64) {
+	for _, st := range v.stripes {
+		if h, ok := st.store.(*hybridStripeStore); ok {
+			e, b, d := h.Hits()
+			epsMap, buffer, disk = epsMap+e, buffer+b, disk+d
+		}
 	}
-	if label, certain := st.wm.Test(eps); certain {
-		return label, nil
-	}
-	if v.opts.Mode == Eager {
-		return st.store.Class(id)
-	}
-	f, err := st.store.FeatureOf(id)
-	if err != nil {
-		return 0, err
-	}
-	return v.trainer.Model().Predict(f), nil
+	return epsMap, buffer, disk
 }
 
 // members drives an All Members read: scatter to the stripes in
 // parallel (each collecting into its own slice — no shared state),
 // gather in stripe order. Lazy mode accrues each stripe's waste into
 // that stripe's Skiing accumulator and may reorganize the stripe,
-// which is why lazy Members must be serialized against writers,
-// exactly like the unstriped layouts.
+// which is why lazy Members must be serialized against writers.
 func (v *StripedView) members(fn func(id int64)) error {
 	cur := v.trainer.Model()
 	lazy := v.opts.Mode == Lazy
@@ -574,28 +560,27 @@ func (v *StripedView) MostUncertain(k int) ([]int64, error) {
 // event imposes, which striping bounds at n/P records.
 func (v *StripedView) Stats() Stats {
 	s := v.stats
-	for i, st := range v.stripes {
-		s.Reorgs += st.sk.Reorgs()
-		s.IncSteps += st.sk.IncSteps()
-		s.Reclassified += st.reclassified
-		if n, err := st.store.CountRange(st.wm.Band()); err == nil {
-			s.BandTuples += n
+	for i := range v.stripes {
+		ss := v.StripeStats(i)
+		s.Reorgs += ss.Reorgs
+		s.IncSteps += ss.IncSteps
+		s.Reclassified += ss.Reclassified
+		s.BandTuples += ss.BandTuples
+		s.EpsMapBytes += ss.EpsMapBytes
+		s.BufferBytes += ss.BufferBytes
+		if i == 0 || ss.LowWater < s.LowWater {
+			s.LowWater = ss.LowWater
 		}
-		lw, hw := st.wm.Band()
-		if i == 0 || lw < s.LowWater {
-			s.LowWater = lw
+		if i == 0 || ss.HighWater > s.HighWater {
+			s.HighWater = ss.HighWater
 		}
-		if i == 0 || hw > s.HighWater {
-			s.HighWater = hw
-		}
-		if ns := st.sk.S().Nanoseconds(); ns > s.LastReorgNs {
-			s.LastReorgNs = ns
-		}
+		s.LastReorgNs = max(s.LastReorgNs, ss.LastReorgNs)
 	}
 	return s
 }
 
-// StripeStats returns one stripe's maintenance counters.
+// StripeStats returns one stripe's maintenance counters, including the
+// hybrid store's in-memory footprint (Figure 6(A)).
 func (v *StripedView) StripeStats(i int) Stats {
 	st := v.stripes[i]
 	var s Stats
@@ -607,6 +592,9 @@ func (v *StripedView) StripeStats(i int) Stats {
 		s.BandTuples = n
 	}
 	s.LastReorgNs = st.sk.S().Nanoseconds()
+	if h, ok := st.store.(*hybridStripeStore); ok {
+		s.EpsMapBytes, s.BufferBytes = h.MemoryFootprint()
+	}
 	return s
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "hazy/internal/vector"
+import (
+	"hazy/internal/learn"
+	"hazy/internal/vector"
+)
 
 // StripeStore is the physical layout of one stripe of a partition-
 // striped view. The StripedView above it owns everything the paper's
@@ -15,6 +18,9 @@ import "hazy/internal/vector"
 //     (Hazy-OD), and
 //   - hybridStripeStore: the disk store plus the §3.5.2 in-memory
 //     summaries (ε-map and boundary buffer).
+//
+// These are the only Hazy-strategy layouts: an unstriped Hazy view of
+// any architecture is a StripedView with one stripe.
 //
 // A store is single-writer: every mutating call happens either on the
 // view caller's goroutine or on the pool worker that owns the stripe
@@ -37,10 +43,11 @@ type StripeStore interface {
 	// EpsOf returns id's stored eps (the clustering key under the
 	// stripe's stored model).
 	EpsOf(id int64) (float64, error)
-	// Class returns id's maintained class.
-	Class(id int64) (int, error)
-	// FeatureOf returns id's feature vector; callers may retain it.
-	FeatureOf(id int64) (vector.Vector, error)
+	// Label answers a Single Entity read for id — the layout's form of
+	// the App. B.4 lookup: the stored eps against wm first; inside the
+	// band, the maintained class when eager, else the feature vector
+	// classified under cur. It must not mutate maintenance state.
+	Label(id int64, wm *Watermark, cur *learn.Model, eager bool) (int, error)
 	// Rebuild reclusters the stripe: every record's eps is recomputed
 	// with epsOf, records are rewritten in (eps, id) order, and class
 	// becomes sign(eps) — the physical reorganization step whose

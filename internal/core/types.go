@@ -4,9 +4,10 @@
 // reorganization strategy (§3.2.1, App. B.3), and five
 // architecture/strategy combinations — naive and Hazy over
 // main-memory and on-disk layouts, plus the hybrid architecture of
-// §3.5.2 — in both eager and lazy maintenance modes. Hazy-MM is
-// always a StripedView (one stripe when unstriped); the naive
-// main-memory MemView is the from-scratch baseline.
+// §3.5.2 — in both eager and lazy maintenance modes. Every Hazy view
+// is a StripedView (one stripe when unstriped) over the store of its
+// architecture; the naive MemView and DiskView are the from-scratch
+// baselines.
 //
 // Every variant exposes the same View interface and, for the same
 // update sequence, must produce identical view contents; they differ
@@ -190,10 +191,9 @@ type Options struct {
 	// Partitions hash-partitions the view into this many independently
 	// maintained stripes (per-stripe clustering, watermarks, and
 	// Skiing, one shared model) so reorganization and rescans run in
-	// parallel across a worker pool. 0 or 1 means unstriped: one
-	// stripe for the main-memory Hazy layout (always a StripedView),
-	// the unstriped DiskView / HybridView for the others. Values above
-	// 1 compose with every architecture (main-memory entry arrays,
+	// parallel across a worker pool. 0 or 1 means unstriped: a
+	// one-stripe StripedView, for every architecture. Values above 1
+	// compose with every architecture (main-memory entry arrays,
 	// per-stripe on-disk clustered trees, per-stripe hybrid ε-maps)
 	// but require the Hazy strategy — the naive strategy keeps no eps
 	// clustering for the stripes to maintain.

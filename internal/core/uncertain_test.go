@@ -10,7 +10,7 @@ import (
 
 // TestMostUncertainOrdering checks the active-learning hook: returned
 // ids are exactly the k smallest |eps| under the stored model, for
-// both the main-memory and on-disk architectures.
+// every architecture.
 func TestMostUncertainOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	entities := testEntities(r, 200)
@@ -20,12 +20,12 @@ func TestMostUncertainOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := NewDiskView(t.TempDir(), 64, entities, HazyStrategy, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	dv, err := NewStripedDisk(t.TempDir(), 64, entities, 1, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dv.Close()
-	hv, err := NewHybridView(t.TempDir(), 64, entities, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
+	hv, err := NewStripedHybrid(t.TempDir(), 64, entities, 1, Options{Mode: Eager, SGD: learn.SGDConfig{Eta0: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestMostUncertainOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("od", dvGot, dv.wm.Stored())
+	check("od", dvGot, dv.stripes[0].wm.Stored())
 	hvGot, err := hv.MostUncertain(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("hybrid", hvGot, hv.wm.Stored())
+	check("hybrid", hvGot, hv.stripes[0].wm.Stored())
 
 	// Asking for more than N returns all entities.
 	all, err := mm.MostUncertain(10 * len(entities))
@@ -92,12 +92,12 @@ func TestMostUncertainOrdering(t *testing.T) {
 	if _, err := nv.MostUncertain(3); err == nil {
 		t.Fatal("naive MostUncertain accepted")
 	}
-	nd, err := NewDiskView(t.TempDir(), 32, entities, Naive, Options{})
+	nd, err := NewDiskView(t.TempDir(), 32, entities, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	if _, err := nd.MostUncertain(3); err == nil {
-		t.Fatal("naive disk MostUncertain accepted")
+	if _, ok := View(nd).(interface{ MostUncertain(int) ([]int64, error) }); ok {
+		t.Fatal("naive disk view offers MostUncertain")
 	}
 }

@@ -184,7 +184,7 @@ func TestOnDiskMulticlass(t *testing.T) {
 	ents, _ := threeClassData(r, 60)
 	dir := t.TempDir()
 	m, err := New(3, ids(ents), func(c int) (core.View, error) {
-		return core.NewDiskView(filepath.Join(dir, string(rune('a'+c))), 32, ents, core.HazyStrategy, core.Options{
+		return core.New(core.OnDisk, core.HazyStrategy, filepath.Join(dir, string(rune('a'+c))), 32, ents, core.Options{
 			Mode: core.Eager,
 			SGD:  learn.SGDConfig{Eta0: 0.5},
 		})

@@ -250,15 +250,16 @@ func (db *DB) applyMeta(body []byte) error {
 	return nil
 }
 
-// publishSnapshots republishes every snapshot-capable view's serving
-// snapshot — the replica read surface. Views that cannot snapshot
-// (on-disk architectures) keep serving live under the statement lock.
+// publishSnapshots republishes every main-memory view's serving
+// snapshot — the replica read surface. On-disk and hybrid views keep
+// serving live under the statement lock: a snapshot would copy a
+// disk-resident view into RAM on every replica commit.
 func (db *DB) publishSnapshots() {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, cv := range db.views {
 		sn, ok := cv.view.(core.Snapshotter)
-		if !ok {
+		if !ok || cv.spec.Arch != core.MainMemory {
 			continue
 		}
 		snap, err := sn.Snapshot()

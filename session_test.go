@@ -1,6 +1,7 @@
 package hazy
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -162,13 +163,69 @@ func TestViewArchitectureVariantsViaSQL(t *testing.T) {
 		FEATURE FUNCTION tf_bag_of_words ARCHITECTURE HYBRID STRATEGY NAIVE`); err == nil {
 		t.Fatal("hybrid+naive accepted")
 	}
-	// The engine requires a snapshot-capable view: attaching to an
-	// on-disk one is rejected in SQL too.
+	// The engine requires a snapshot-capable view: every Hazy view is
+	// one (an unstriped on-disk view included), the naive on-disk view
+	// is not, and SQL rejects it too.
 	mustExec(t, s, `CREATE CLASSIFICATION VIEW odv KEY id
 		ENTITIES FROM p KEY id EXAMPLES FROM fb KEY id LABEL l
 		FEATURE FUNCTION tf_bag_of_words ARCHITECTURE OD`)
-	if _, err := s.Exec("ATTACH ENGINE TO odv"); err == nil {
-		t.Fatal("engine attached to an on-disk view")
+	mustExec(t, s, "ATTACH ENGINE TO odv")
+	mustExec(t, s, "DETACH ENGINE FROM odv")
+	mustExec(t, s, `CREATE CLASSIFICATION VIEW odn KEY id
+		ENTITIES FROM p KEY id EXAMPLES FROM fb KEY id LABEL l
+		FEATURE FUNCTION tf_bag_of_words ARCHITECTURE OD STRATEGY NAIVE`)
+	if _, err := s.Exec("ATTACH ENGINE TO odn"); err == nil {
+		t.Fatal("engine attached to a naive on-disk view")
+	}
+}
+
+// TestEnginedOnDiskView: an engine over an unstriped on-disk view
+// serves reads from its published snapshots, and after synchronous
+// writes — examples and new entities — every LABEL equals the label a
+// model trained from scratch on the same examples assigns.
+func TestEnginedOnDiskView(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE p (id BIGINT, txt TEXT) KEY id")
+	mustExec(t, s, "CREATE TABLE fb (id BIGINT, label BIGINT) KEY id")
+	r := rand.New(rand.NewSource(41))
+	texts := map[int64]string{}
+	insert := func(id int64) {
+		texts[id] = title(r, id%2 == 0)
+		mustExec(t, s, fmt.Sprintf("INSERT INTO p VALUES (%d, '%s')", id, texts[id]))
+	}
+	for id := int64(0); id < 60; id++ {
+		insert(id)
+	}
+	mustExec(t, s, `CREATE CLASSIFICATION VIEW odv KEY id
+		ENTITIES FROM p KEY id EXAMPLES FROM fb KEY id LABEL l
+		FEATURE FUNCTION tf_bag_of_words USING SVM ARCHITECTURE OD`)
+	// Live, the one-stripe view keeps the plain single-cursor plan.
+	if plan := fmt.Sprint(mustExec(t, s, "EXPLAIN SELECT id FROM odv WHERE eps >= -1.0 AND eps <= 1.0").Rows); !strings.Contains(plan, "EpsRange(odv, live") {
+		t.Fatalf("live on-disk plan = %s, want a single-cursor EpsRange", plan)
+	}
+	mustExec(t, s, "ATTACH ENGINE TO odv")
+	cv, err := s.DB().View("odv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := learn.NewSGD(learn.SGDConfig{Loss: learn.LossFor(learn.MethodSVM)})
+	for id := int64(0); id < 40; id++ {
+		label := 1 - 2*(id%2)
+		mustExec(t, s, fmt.Sprintf("INSERT INTO fb VALUES (%d, %d)", id, label))
+		fresh.Train(cv.ff.ComputeFeature(texts[id]), int(label))
+		if id%10 == 9 {
+			insert(60 + id)
+		}
+	}
+	if plan := fmt.Sprint(mustExec(t, s, "EXPLAIN SELECT class FROM odv WHERE id = 3").Rows); !strings.Contains(plan, "snapshot") {
+		t.Fatalf("engined on-disk plan = %s, want a snapshot read", plan)
+	}
+	for id, text := range texts {
+		got := mustExec(t, s, fmt.Sprintf("SELECT class FROM odv WHERE id = %d", id))
+		want := fmt.Sprint(fresh.Model().Predict(cv.ff.ComputeFeature(text)))
+		if len(got.Rows) != 1 || got.Rows[0][0] != want {
+			t.Fatalf("LABEL %d = %v, from-scratch model says %s", id, got.Rows, want)
+		}
 	}
 }
 
