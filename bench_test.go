@@ -430,7 +430,7 @@ func sqlBenchSession(b *testing.B) *Session {
 		}
 		// A second, partition-striped view over the same corpus, left
 		// unmanaged so its reads exercise the live scatter-gather merge
-		// scan (engined snapshots are pre-merged).
+		// scan (engined snapshots gather inside one cursor).
 		if _, err := db.CreateClassificationView(ViewSpec{
 			Name: "striped_served", Entities: "papers", Examples: "feedback",
 			Method: "svm", Partitions: 4,

@@ -204,6 +204,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if byName["hazy_engine_trains_total"] < 4 {
 		t.Errorf("hazy_engine_trains_total = %v, want >= 4", byName["hazy_engine_trains_total"])
 	}
+	if byName["hazy_engine_publish_us_count"] < 1 {
+		t.Errorf("hazy_engine_publish_us_count = %v, want a publish per applied batch", byName["hazy_engine_publish_us_count"])
+	}
 	if byName["hazy_wal_appended_bytes_total"] == 0 {
 		t.Error("hazy_wal_appended_bytes_total = 0, want > 0")
 	}

@@ -692,7 +692,7 @@ type ViewSpec struct {
 	// maintenance, and rescans run in parallel across a worker pool
 	// (the SQL clause PARTITIONS n). 0 falls back to the database's
 	// DefaultPartitions, then to unstriped. Every architecture
-	// stripes — main-memory entry slices, per-stripe on-disk B+-tree
+	// stripes — main-memory segments, per-stripe on-disk B+-tree
 	// generations, or the hybrid's disk-plus-ε-map — but striping
 	// requires the Hazy strategy (NAIVE keeps no eps clustering for
 	// the stripes to maintain).

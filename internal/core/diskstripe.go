@@ -136,6 +136,34 @@ func (s *diskStripeStore) Cursor(lo, hi float64, res *LabelResolver) (RowCursor,
 	return s.dt.cursor(lo, hi, res)
 }
 
+// Freeze materializes every row into a one-segment version: the O(n)
+// publish of a disk-resident stripe.
+func (s *diskStripeStore) Freeze(_, _ float64, res *LabelResolver) (*memVersion, error) {
+	c, err := s.Cursor(math.Inf(-1), math.Inf(1), res)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	g := newMemSegment(s.Len())
+	buf := make([]SnapEntry, 512)
+	for {
+		n, err := c.NextBatch(buf)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			break
+		}
+		for _, e := range buf[:n] {
+			g.add(e.ID, e.Eps, e.Label)
+		}
+	}
+	if err := g.index(); err != nil {
+		return nil, err
+	}
+	return &memVersion{seg: g}, nil
+}
+
 func (s *diskStripeStore) Close() error { return s.dt.Close() }
 
 // hybridStripeStore adds the §3.5.2 in-memory summaries to the

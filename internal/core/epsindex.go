@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"hazy/internal/btree"
 	"hazy/internal/storage"
@@ -10,7 +10,7 @@ import (
 
 // This file is the read surface the streaming SQL executor plans
 // against: every clustered layout — the snapshot a serving engine
-// publishes, the striped views' main-memory entry slices, and the
+// publishes, the striped views' main-memory segments, and the
 // on-disk B+-tree — exposes the same three capabilities, so the
 // planner can push an eps-band predicate down to whichever physical
 // structure the view happens to have instead of rescanning everything
@@ -45,60 +45,32 @@ type EpsIndexed interface {
 
 var errNotClustered = fmt.Errorf("core: eps requires the Hazy strategy (no eps clustering)")
 
-// sliceCursor streams pre-resolved entries — the snapshot cursor.
-type sliceCursor struct {
-	entries []SnapEntry
-	i       int
-}
-
-func (c *sliceCursor) Next() (SnapEntry, bool, error) {
-	if c.i >= len(c.entries) {
-		return SnapEntry{}, false, nil
-	}
-	e := c.entries[c.i]
-	c.i++
-	return e, true, nil
-}
-
-func (c *sliceCursor) NextBatch(dst []SnapEntry) (int, error) {
-	n := copy(dst, c.entries[c.i:])
-	c.i += n
-	return n, nil
-}
-
-func (c *sliceCursor) Close() {}
-
 // Snapshot ------------------------------------------------------------
 
-// Clustered reports whether the snapshot's entries are eps-ascending
-// (Hazy strategy at export time).
+// Clustered reports whether the snapshot's rows are eps-ordered (Hazy
+// strategy at export time).
 func (s *Snapshot) Clustered() bool { return s.clustered }
 
-// EpsOf returns the entity's eps under the snapshot's stored model.
+// EpsOf returns the entity's eps under its stripe's stored model.
 func (s *Snapshot) EpsOf(id int64) (float64, error) {
 	if !s.clustered {
 		return 0, errNotClustered
 	}
-	i, ok := s.byID[id]
-	if !ok {
-		return 0, fmt.Errorf("core: no entity %d", id)
-	}
-	return s.entries[i].Eps, nil
+	return s.stripes[stripeOf(id, len(s.stripes))].EpsOf(id)
 }
 
-// ScanEps streams the snapshot entries with eps ∈ [lo, hi] — a binary
-// search plus a sub-slice walk over immutable state, safe from any
-// goroutine.
+// ScanEps streams the snapshot rows with eps ∈ [lo, hi] in (eps, id)
+// order — per stripe a binary search plus a walk over immutable state,
+// gathered across stripes; safe from any goroutine. The unbounded
+// range is a plain full scan, so it also serves an unclustered
+// snapshot, in arrival order.
 func (s *Snapshot) ScanEps(lo, hi float64) (RowCursor, error) {
-	if !s.clustered {
+	if !s.clustered && !(math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
 		return nil, errNotClustered
 	}
-	a := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Eps >= lo })
-	b := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Eps > hi })
-	if b < a {
-		b = a // inverted range (lo > hi): empty scan, like the other layouts
-	}
-	return &sliceCursor{entries: s.entries[a:b]}, nil
+	return gatherCursors(len(s.stripes), func(i int) (RowCursor, error) {
+		return s.stripes[i].cursor(lo, hi, nil, nil), nil
+	})
 }
 
 // On-disk stores ------------------------------------------------------

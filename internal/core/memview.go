@@ -154,25 +154,19 @@ func (v *MemView) MostUncertain(int) ([]int64, error) {
 func (v *MemView) Stats() Stats { return v.stats }
 
 // Snapshot exports the view's contents with every label resolved
-// under the current model. The entries carry no eps ordering, so the
-// snapshot is unclustered.
+// under the current model: one segment in arrival order, built in
+// O(n) — the baseline. It carries no eps ordering, so the snapshot is
+// unclustered.
 func (v *MemView) Snapshot() (*Snapshot, error) {
 	cur := v.trainer.Model()
-	s := &Snapshot{
-		model:   cur.Clone(),
-		entries: make([]SnapEntry, len(v.entries)),
-		byID:    make(map[int64]int, len(v.entries)),
-		stats:   v.Stats(),
+	g := newMemSegment(len(v.entries))
+	for _, ent := range v.entries {
+		g.add(ent.id, 0, v.label(ent, cur))
 	}
-	for i, ent := range v.entries {
-		label := v.label(ent, cur)
-		s.entries[i] = SnapEntry{ID: ent.id, Label: label}
-		s.byID[ent.id] = i
-		if label > 0 {
-			s.members++
-		}
+	if err := g.index(); err != nil {
+		return nil, err
 	}
-	return s, nil
+	return newSnapshot(cur.Clone(), []*memVersion{{seg: g}}, false, v.Stats()), nil
 }
 
 var _ View = (*MemView)(nil)

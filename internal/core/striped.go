@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"time"
 
@@ -20,7 +18,7 @@ import (
 // StripeStore, watermark pair, and Skiing accumulator, while the
 // model stays global (trained once, shared by every stripe). The
 // store decides where the stripe physically lives — main-memory
-// entry slices, per-stripe on-disk B+-tree generations behind private
+// segments, per-stripe on-disk B+-tree generations behind private
 // buffer pools, or the hybrid's disk-plus-ε-map — and this layer owns
 // everything else: reorganization policy, eager sweeps, the lazy
 // waste discipline, and the scatter/gather read paths.
@@ -507,8 +505,7 @@ func (v *StripedView) Retrain(examples []learn.Example) error {
 // MostUncertain returns up to k entity ids nearest the decision
 // boundary: each stripe walks outward from its own eps = 0 (per-
 // stripe stored models make eps stripe-local), then the per-stripe
-// candidates merge by |eps|, negative side first on ties — the same
-// order the unstriped walk produces.
+// walks merge into the order one walk over the merged stripes visits.
 func (v *StripedView) MostUncertain(k int) ([]int64, error) {
 	if k <= 0 {
 		return nil, nil
@@ -522,35 +519,7 @@ func (v *StripedView) MostUncertain(k int) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []SnapEntry
-	for _, c := range cand {
-		all = append(all, c...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		ea, eb := all[a], all[b]
-		aa, ab := ea.Eps, eb.Eps
-		if aa < 0 {
-			aa = -aa
-		}
-		if ab < 0 {
-			ab = -ab
-		}
-		if aa != ab {
-			return aa < ab
-		}
-		if ea.Eps != eb.Eps {
-			return ea.Eps < eb.Eps // negative side first, like walkUncertain
-		}
-		return ea.ID < eb.ID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]int64, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out, nil
+	return gatherUncertain(cand, k), nil
 }
 
 // Stats aggregates maintenance counters across the stripes. LowWater
@@ -598,85 +567,29 @@ func (v *StripedView) StripeStats(i int) Stats {
 	return s
 }
 
-// Snapshot exports the composed immutable snapshot: every stripe
-// resolves its rows in parallel (exact labels, eps-ascending — the
-// stripe is already clustered), then the P sorted slices k-way merge
-// into one globally (eps, id)-ordered entry list. One barrier, one
-// publishable object.
+// Snapshot publishes the view: every stripe freezes a version in
+// parallel (for the main-memory store the shared segment plus a copy
+// of its band overlay and insert delta), under one clone of the
+// current model. One barrier, one publishable object; reads gather
+// across the stripes.
 func (v *StripedView) Snapshot() (*Snapshot, error) {
 	cur := v.trainer.Model()
 	lazy := v.opts.Mode == Lazy
-	parts := make([][]SnapEntry, len(v.stripes))
-	err := v.forStripes(func(p int, st *stripe) error {
+	vers := make([]*memVersion, len(v.stripes))
+	err := v.forStripes(func(i int, st *stripe) error {
 		var res *LabelResolver
 		if lazy {
 			res = &LabelResolver{Test: st.wm.Test, Predict: cur.Predict}
 		}
-		c, err := st.store.Cursor(math.Inf(-1), math.Inf(1), res)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		out := make([]SnapEntry, 0, st.store.Len())
-		buf := make([]SnapEntry, 512)
-		for {
-			n, err := c.NextBatch(buf)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			out = append(out, buf[:n]...)
-		}
-		parts[p] = out
-		return nil
+		lw, hw := st.wm.Band()
+		var err error
+		vers[i], err = st.store.Freeze(lw, hw, res)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	s := &Snapshot{
-		model:     cur.Clone(),
-		entries:   mergeSnapEntries(parts, total),
-		byID:      make(map[int64]int, total),
-		clustered: true,
-		stats:     v.Stats(),
-	}
-	for i := range s.entries {
-		s.byID[s.entries[i].ID] = i
-		if s.entries[i].Label > 0 {
-			s.members++
-		}
-	}
-	return s, nil
-}
-
-// mergeSnapEntries k-way merges eps-ascending slices into one
-// (eps, id)-ordered slice. A single part is already that slice.
-func mergeSnapEntries(parts [][]SnapEntry, total int) []SnapEntry {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	out := make([]SnapEntry, 0, total)
-	idx := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		for p := range parts {
-			if idx[p] >= len(parts[p]) {
-				continue
-			}
-			if best < 0 || snapLess(parts[p][idx[p]], parts[best][idx[best]]) {
-				best = p
-			}
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
-	return out
+	return newSnapshot(cur.Clone(), vers, true, v.Stats()), nil
 }
 
 func snapLess(a, b SnapEntry) bool {
@@ -782,16 +695,16 @@ func (m *mergeRowCursor) Close() {
 	}
 }
 
-// ScanEps streams the rows with eps ∈ [lo, hi] across all stripes,
-// merged in (eps, id) order. A single stripe's cursor is already in
-// that order and keeps its bulk NextBatch.
-func (v *StripedView) ScanEps(lo, hi float64) (RowCursor, error) {
-	if len(v.stripes) == 1 {
-		return v.ScanEpsStripe(0, lo, hi)
+// gatherCursors opens one cursor per stripe and merges them in
+// (eps, id) order. A single stripe's cursor is already in that order
+// and keeps its bulk NextBatch.
+func gatherCursors(n int, open func(i int) (RowCursor, error)) (RowCursor, error) {
+	if n == 1 {
+		return open(0)
 	}
-	curs := make([]RowCursor, len(v.stripes))
-	for i := range v.stripes {
-		c, err := v.ScanEpsStripe(i, lo, hi)
+	curs := make([]RowCursor, n)
+	for i := range curs {
+		c, err := open(i)
 		if err != nil {
 			// The cursors already open may hold page pins.
 			(&mergeRowCursor{curs: curs}).Close()
@@ -800,6 +713,14 @@ func (v *StripedView) ScanEps(lo, hi float64) (RowCursor, error) {
 		curs[i] = c
 	}
 	return newMergeRowCursor(curs)
+}
+
+// ScanEps streams the rows with eps ∈ [lo, hi] across all stripes,
+// merged in (eps, id) order.
+func (v *StripedView) ScanEps(lo, hi float64) (RowCursor, error) {
+	return gatherCursors(len(v.stripes), func(i int) (RowCursor, error) {
+		return v.ScanEpsStripe(i, lo, hi)
+	})
 }
 
 var (

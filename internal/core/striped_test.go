@@ -259,12 +259,17 @@ func TestStripedEpsOrderMatchesUnstriped(t *testing.T) {
 		t.Fatalf("MostUncertain diverges:\nstriped %v\nsingle  %v", tu, su)
 	}
 
-	// Snapshot entry order is the merged clustered order.
+	// A snapshot scans in the merged clustered order.
 	ss, _ := single.Snapshot()
 	ts, _ := striped.Snapshot()
-	for i, e := range ss.Entries() {
-		if ts.Entries()[i] != e {
-			t.Fatalf("snapshot entries[%d]: striped %+v single %+v", i, ts.Entries()[i], e)
+	sr := drainScan(t, ss, math.Inf(-1), math.Inf(1))
+	tr := drainScan(t, ts, math.Inf(-1), math.Inf(1))
+	if len(sr) != len(want) || len(tr) != len(want) {
+		t.Fatalf("snapshot scans: striped %d rows, single %d, want %d", len(tr), len(sr), len(want))
+	}
+	for i, e := range want {
+		if sr[i] != e || tr[i] != e {
+			t.Fatalf("snapshot row %d: striped %+v single %+v, live %+v", i, tr[i], sr[i], e)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // policy decisions — while the store owns the eps-clustered entity
 // records themselves. One implementation exists per architecture:
 //
-//   - memStripeStore: the main-memory entries slice (Hazy-MM, §3.5.1),
+//   - memStripeStore: an immutable main-memory segment plus a band
+//     overlay and an insert delta (Hazy-MM, §3.5.1),
 //   - diskStripeStore: a per-stripe generation file of heap pages with
 //     a clustered B+-tree on (eps, id) behind its own buffer pool
 //     (Hazy-OD), and
@@ -70,6 +71,13 @@ type StripeStore interface {
 	// maintained class is exact — the eager fast path). The cursor
 	// must not mutate maintenance state.
 	Cursor(lo, hi float64, res *LabelResolver) (RowCursor, error)
+	// Freeze exports the stripe as an immutable version for a
+	// Snapshot, every label resolved through res (nil: the maintained
+	// class); [lw, hw] is the stripe's band, outside which the stored
+	// labels are certain. The main-memory store shares its segment and
+	// copies only the band and the delta; the disk stores materialize
+	// every row.
+	Freeze(lw, hw float64, res *LabelResolver) (*memVersion, error)
 	// Close releases any backing resources (page files, pools).
 	Close() error
 }
@@ -86,18 +94,14 @@ type LabelResolver struct {
 	Predict func(f vector.Vector) int
 }
 
-// resolve labels one row given its stored eps, maintained class, and
-// a lazily-evaluated feature accessor.
-func (r *LabelResolver) resolve(eps float64, class func() (int, error), f func() (vector.Vector, error)) (int, error) {
+// resolve labels one main-memory row given its stored eps, maintained
+// class, and feature vector; a nil resolver keeps the class.
+func (r *LabelResolver) resolve(eps float64, class int8, f vector.Vector) int8 {
 	if r == nil {
-		return class()
+		return class
 	}
 	if label, certain := r.Test(eps); certain {
-		return label, nil
+		return int8(label)
 	}
-	fv, err := f()
-	if err != nil {
-		return 0, err
-	}
-	return r.Predict(fv), nil
+	return int8(r.Predict(f))
 }

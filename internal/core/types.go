@@ -193,7 +193,7 @@ type Options struct {
 	// Skiing, one shared model) so reorganization and rescans run in
 	// parallel across a worker pool. 0 or 1 means unstriped: a
 	// one-stripe StripedView, for every architecture. Values above 1
-	// compose with every architecture (main-memory entry arrays,
+	// compose with every architecture (main-memory segments,
 	// per-stripe on-disk clustered trees, per-stripe hybrid ε-maps)
 	// but require the Hazy strategy — the naive strategy keeps no eps
 	// clustering for the stripes to maintain.

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hazy/internal/obs"
 	"hazy/internal/sched"
@@ -455,13 +456,19 @@ func (e *Engine) apply(batch []op) {
 	}
 
 	if mutated {
-		if s, err := e.be.Snapshot(); err != nil {
+		start := time.Now()
+		s, err := e.be.Snapshot()
+		e.stats.publish.ObserveDuration(time.Since(start))
+		if err != nil {
 			e.noteAsyncErr(SharedToken, fmt.Errorf("engine: snapshot: %w", err))
 		} else {
 			e.publish(s)
 		}
 	}
 	e.stats.observeBatch(len(batch))
+	// The whole batch counts as applied before any waiter is released,
+	// so a caller whose write has returned never sees it pending.
+	e.stats.applied.Add(uint64(len(batch)))
 	retired := false
 	for i, o := range batch {
 		if o.kind == opClose {
@@ -472,7 +479,6 @@ func (e *Engine) apply(batch []op) {
 		} else if errs[i] != nil && o.kind != opClose {
 			e.noteAsyncErr(o.tok, errs[i])
 		}
-		e.stats.applied.Add(1)
 	}
 	if retired {
 		close(e.workerDone)

@@ -136,6 +136,22 @@ func TestReadYourWritesSync(t *testing.T) {
 	}
 }
 
+// TestSyncWriteNeverPendingAfterReturn pins the counter order behind
+// the STATS line: a batch counts as applied before any of its waiters
+// is released, so a synchronous write that has returned is never
+// reported pending.
+func TestSyncWriteNeverPendingAfterReturn(t *testing.T) {
+	e := start(t, newMemBackend(t), Options{})
+	for i := 0; i < 2000; i++ {
+		if err := e.Train(int64(1+i%4), 1-2*(i%2)); err != nil {
+			t.Fatal(err)
+		}
+		if p := e.Stats().Pending; p != 0 {
+			t.Fatalf("write %d returned but Stats().Pending = %d", i, p)
+		}
+	}
+}
+
 func TestAsyncVisibleAfterFlush(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
 	if err := e.TrainAsync(1, 1); err != nil {

@@ -11,6 +11,10 @@ import (
 // 1, 2–3, 4–7, …, ≥128.
 const histBuckets = 8
 
+// publishBuckets is the number of power-of-two publish-time buckets in
+// microseconds: 0–1, 2–3, …, ≥2^23 (about 8 s).
+const publishBuckets = 24
+
 // engineCounters are the engine's serving counters, held as obs
 // collectors so the same atomics back both the STATS wire line and
 // the shared metrics registry. The hot-path cost is unchanged from
@@ -24,6 +28,7 @@ type engineCounters struct {
 	maxBatch *obs.Gauge
 	errors   *obs.Counter
 	hist     *obs.Histogram
+	publish  *obs.Histogram
 }
 
 // initCounters registers the engine's collectors on reg (nil: they
@@ -41,6 +46,7 @@ func (c *engineCounters) initCounters(reg *obs.Registry, name string) {
 	c.maxBatch = reg.Gauge("hazy_engine_batch_max", "largest batch drained so far", lbl...)
 	c.errors = reg.Counter("hazy_engine_errors_total", "failed asynchronous ops", lbl...)
 	c.hist = reg.Histogram("hazy_engine_batch_size", "power-of-two histogram of drained batch sizes", histBuckets, lbl...)
+	c.publish = reg.Histogram("hazy_engine_publish_us", "power-of-two histogram of snapshot publish time per applied batch, microseconds", publishBuckets, lbl...)
 }
 
 func (c *engineCounters) observeBatch(n int) {

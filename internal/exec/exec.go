@@ -161,8 +161,8 @@ type ViewSource interface {
 // eps-range and full scans over such a source onto the EpsMergeScan
 // operator, which opens one cursor per stripe and gathers the rows
 // back in global (eps, id) order — the scatter-gather read made
-// visible at the plan layer. Engined views never expose it: their
-// published snapshots are already merged.
+// visible at the plan layer. Engined views never expose it: a
+// published snapshot gathers its stripes inside its own cursor.
 type StripedSource interface {
 	Stripes() int
 	ScanEpsStripe(i int, lo, hi float64) (Cursor, error)

@@ -213,23 +213,6 @@ func (c *coreCursor) NextBatch(dst *exec.Batch) error {
 
 func (c *coreCursor) Close() { c.c.Close() }
 
-// entriesCursor streams a snapshot's entry slice.
-type entriesCursor struct {
-	entries []core.SnapEntry
-	i       int
-}
-
-func (c *entriesCursor) NextBatch(dst *exec.Batch) error {
-	for c.i < len(c.entries) && dst.Room() > 0 {
-		e := c.entries[c.i]
-		c.i++
-		dst.AppendViewRow(e.ID, int64(e.Label), e.Eps)
-	}
-	return nil
-}
-
-func (c *entriesCursor) Close() {}
-
 // snapshotSource serves an engined view's plan from one published
 // snapshot: immutable, so safe from any goroutine with no locks, and
 // consistent for the whole statement however long it streams.
@@ -251,7 +234,7 @@ func (s *snapshotSource) MostUncertain(k int) ([]int64, error) {
 }
 
 func (s *snapshotSource) Scan() (exec.Cursor, error) {
-	return &entriesCursor{entries: s.snap.Entries()}, nil
+	return s.ScanEps(math.Inf(-1), math.Inf(1))
 }
 
 func (s *snapshotSource) ScanEps(lo, hi float64) (exec.Cursor, error) {
@@ -344,7 +327,7 @@ func (s *liveSource) ScanEps(lo, hi float64) (exec.Cursor, error) {
 // Stripes exposes the live view's partition count so the planner can
 // lower eps scans onto the scatter-gather merge operator; unstriped
 // layouts report 1 and keep the single-cursor plans. (Engined views
-// never reach here — their snapshots are already merged.)
+// never reach here — a snapshot gathers its stripes inside ScanEps.)
 func (s *liveSource) Stripes() int {
 	if sv, ok := s.cv.view.(*core.StripedView); ok {
 		return sv.Stripes()

@@ -269,6 +269,25 @@ func TestAttachEngineViaSQL(t *testing.T) {
 	}
 }
 
+// TestMostUncertainNonPositiveK: asking an engined view for k ≤ 0
+// boundary ids returns none, exactly like the live view, instead of
+// panicking in the published snapshot's read.
+func TestMostUncertainNonPositiveK(t *testing.T) {
+	s := newSession(t)
+	buildQueryFixture(t, s, "qv", "HAZY", 12)
+	for _, engined := range []bool{false, true} {
+		if engined {
+			mustExec(t, s, "ATTACH ENGINE TO qv")
+		}
+		for _, k := range []int{-1, 0} {
+			ids, err := s.MostUncertain("qv", k)
+			if err != nil || ids != nil {
+				t.Fatalf("engined=%v: MostUncertain(qv, %d) = %v, %v; want nil, nil", engined, k, ids, err)
+			}
+		}
+	}
+}
+
 // TestAutomaticModelSelection: a view declared without USING runs the
 // paper's §2.1 model selection over the warm examples when enough are
 // present, and falls back to the SVM otherwise.

@@ -85,8 +85,9 @@ func TestStripedViewViaSQL(t *testing.T) {
 		t.Fatalf("live striped plan = %s", plan)
 	}
 
-	// Engined: the snapshot is pre-merged, so plans revert to the
-	// single-cursor shapes while answers stay identical.
+	// Engined: the snapshot gathers its stripes inside one cursor, so
+	// plans revert to the single-cursor shapes while answers stay
+	// identical.
 	mustExec(t, s, "ATTACH ENGINE TO banded")
 	mustExec(t, s, "ATTACH ENGINE TO flat")
 	for id := int64(16); id < 24; id++ {

@@ -103,7 +103,7 @@ SELECT COUNT(*) FROM papers;
 -- into stripes with per-stripe clustering, watermarks, and Skiing
 -- over one shared model. Contents match an unstriped view, and
 -- EXPLAIN shows the scatter-gather merge over the live layout, and a
--- pre-merged snapshot plan once an engine is attached.
+-- single-cursor snapshot plan once an engine is attached.
 CREATE TABLE items (id BIGINT, body TEXT) KEY id;
 CREATE TABLE marks (id BIGINT, label BIGINT) KEY id;
 INSERT INTO items VALUES
@@ -125,11 +125,11 @@ SELECT COUNT(*) FROM striped WHERE eps >= -100.0 AND eps <= 100.0;
 EXPLAIN SELECT id FROM striped WHERE eps >= -0.75 AND eps <= 0.75;
 EXPLAIN SELECT id, class FROM striped;
 -- The fifth EXPLAIN ANALYZE shape: a scatter-gather merge over the
--- live striped layout (engined snapshots below are pre-merged).
+-- live striped layout (engined snapshots below merge inside one cursor).
 EXPLAIN ANALYZE SELECT COUNT(*) FROM striped WHERE eps >= -100.0 AND eps <= 100.0;
 
--- Engined, the published snapshot is already merged: same answers,
--- single-cursor plans.
+-- Engined, the published snapshot gathers its stripes inside one
+-- cursor: same answers, single-cursor plans.
 ATTACH ENGINE TO striped;
 INSERT INTO items VALUES (26, 'cost model for join ordering in the query planner');
 SELECT class FROM striped WHERE id = 26;
