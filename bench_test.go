@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -584,5 +585,47 @@ func BenchmarkAlphaSensitivity(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBuildView times the §3.5.1 recompute that CREATE
+// CLASSIFICATION VIEW and every reopen run: the corpus pass over 50k
+// entities (statistics, then one feature vector each), warm training on
+// 5k examples that reuse those vectors, and the clustering.
+func BenchmarkBuildView(b *testing.B) {
+	db, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	papers, err := db.CreateEntityTable("papers", "title")
+	if err != nil {
+		b.Fatal(err)
+	}
+	feedback, err := db.CreateExampleTable("feedback")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for id := int64(0); id < 50000; id++ {
+		var t strings.Builder
+		for k, n := 0, 6+r.Intn(5); k < n; k++ {
+			fmt.Fprintf(&t, "t%04d ", r.Intn(r.Intn(5000)+1))
+		}
+		if err := papers.InsertText(id, t.String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for id := int64(0); id < 50000; id += 10 {
+		if err := feedback.InsertExample(id, 1-2*r.Intn(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	spec := ViewSpec{Name: "v", Entities: "papers", Examples: "feedback", Method: learn.MethodSVM}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := db.buildView(spec, papers, feedback); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

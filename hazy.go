@@ -816,6 +816,23 @@ func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*Clas
 		return nil, fmt.Errorf("hazy: view %q: PARTITIONS %d requires STRATEGY HAZY (the NAIVE strategy keeps no eps clustering for the stripes to maintain)", spec.Name, spec.Partitions)
 	}
 
+	// Examples already in the table (e.g. after a restart) warm-train
+	// the model before the view is first materialized; the view is a
+	// pure function of entities + examples (§3.5.1). Each takes the
+	// vector the corpus pass below builds for its entity, so every
+	// entity is featurized once.
+	var warm []learn.Example
+	slot := make(map[int64]int, xt.Len()) // example id → its index in warm
+	err = xt.tbl.Scan(func(tup relation.Tuple) error {
+		id := tup[0].(int64)
+		slot[id] = len(warm)
+		warm = append(warm, learn.Example{ID: id, Label: int(tup[1].(int64))})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	// Corpus pass: compute statistics, then feature vectors.
 	var corpus []string
 	var ids []int64
@@ -829,27 +846,17 @@ func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*Clas
 	}
 	ff.ComputeStats(corpus)
 	entities := make([]core.Entity, len(ids))
-	for i := range ids {
-		entities[i] = core.Entity{ID: ids[i], F: ff.ComputeFeature(corpus[i])}
-	}
-
-	// Examples already in the table (e.g. after a restart) warm-train
-	// the model before the view is first materialized; the view is a
-	// pure function of entities + examples (§3.5.1).
-	var warm []learn.Example
-	err = xt.tbl.Scan(func(tup relation.Tuple) error {
-		id := tup[0].(int64)
-		text, terr := et.Text(id)
-		if terr != nil {
-			return fmt.Errorf("hazy: example references unknown entity %d", id)
+	for i, id := range ids {
+		entities[i] = core.Entity{ID: id, F: ff.ComputeFeature(corpus[i])}
+		if k, ok := slot[id]; ok {
+			warm[k].F = entities[i].F
+			delete(slot, id)
 		}
-		warm = append(warm, learn.Example{
-			ID: id, F: ff.ComputeFeature(text), Label: int(tup[1].(int64)),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	for _, ex := range warm {
+		if _, missing := slot[ex.ID]; missing {
+			return nil, fmt.Errorf("hazy: example references unknown entity %d", ex.ID)
+		}
 	}
 
 	// USING clause absent: automatic model selection (§2.1) by k-fold

@@ -54,6 +54,7 @@ func TestVocabAssignAndFreeze(t *testing.T) {
 
 func TestTFBagOfWords(t *testing.T) {
 	f := NewTFBagOfWords()
+	f.ComputeStatsInc("data base data")
 	v := f.ComputeFeature("data base data")
 	if v.NNZ() != 2 {
 		t.Fatalf("nnz=%d", v.NNZ())

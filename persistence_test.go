@@ -1,8 +1,13 @@
 package hazy
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"hazy/internal/core"
 )
 
 // TestReopenRecoversTablesAndRebuildsView is the paper's §3.5.1
@@ -258,5 +263,97 @@ func TestDeleteExampleRetrains(t *testing.T) {
 	}
 	if err := feedback.RelabelExample(0, 5); err == nil {
 		t.Fatal("bad relabel accepted")
+	}
+}
+
+// TestReopenReproducesBuild: with no writes after CREATE VIEW, the
+// §3.5.1 recompute at reopen rebuilds the view bit for bit — model
+// weights and bias, every entity's eps and label — for every
+// architecture, striped and not. Warm examples take their entity's
+// corpus-pass vector, so this also guards that reuse.
+func TestReopenReproducesBuild(t *testing.T) {
+	const entities = 2000
+	type state struct {
+		w      []uint64
+		b      uint64
+		eps    []uint64
+		labels []int
+	}
+	capture := func(t *testing.T, cv *ClassView) state {
+		t.Helper()
+		m := cv.Core().Model()
+		st := state{b: math.Float64bits(m.B)}
+		for _, x := range m.W {
+			st.w = append(st.w, math.Float64bits(x))
+		}
+		for id := int64(0); id < entities; id++ {
+			eps, err := cv.Eps(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := cv.Label(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.eps = append(st.eps, math.Float64bits(eps))
+			st.labels = append(st.labels, l)
+		}
+		return st
+	}
+	for _, arch := range []core.Arch{MainMemory, OnDisk, Hybrid} {
+		for _, parts := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/P%d", arch, parts), func(t *testing.T) {
+				dir := t.TempDir()
+				db, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				papers, err := db.CreateEntityTable("papers", "title")
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedback, err := db.CreateExampleTable("feedback")
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rand.New(rand.NewSource(int64(parts)))
+				for id := int64(0); id < entities; id++ {
+					if err := papers.InsertText(id, fmt.Sprintf("%s w%d", title(r, id%2 == 0), id%97)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, id := range r.Perm(entities)[:500] {
+					if err := feedback.InsertExample(int64(id), 1-2*(id%2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cv, err := db.CreateClassificationView(ViewSpec{
+					Name: "v", Entities: "papers", Examples: "feedback", Arch: arch, Partitions: parts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := capture(t, cv)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db, err = Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				cv, err = db.View("v")
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := capture(t, cv)
+				if !slices.Equal(before.w, after.w) || before.b != after.b {
+					t.Fatal("reopened model differs from the built one")
+				}
+				if !slices.Equal(before.eps, after.eps) || !slices.Equal(before.labels, after.labels) {
+					t.Fatal("reopened eps or labels differ from the built ones")
+				}
+			})
+		}
 	}
 }

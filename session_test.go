@@ -508,3 +508,54 @@ func TestPerSessionFlushEmbedded(t *testing.T) {
 		t.Fatalf("Label = %d, %v", label, err)
 	}
 }
+
+// TestClassifyDoesNotGrowVocabulary: CLASSIFY is a read. Featurizing
+// its text must not assign vocabulary indices — 10,000 reads of novel
+// words on an engined view leave the vocabulary as it was — and each
+// answer still equals the label a featurizer that does grow its
+// vocabulary gives under the same model.
+func TestClassifyDoesNotGrowVocabulary(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE p (id BIGINT, txt TEXT) KEY id")
+	mustExec(t, s, "CREATE TABLE fb (id BIGINT, label BIGINT) KEY id")
+	r := rand.New(rand.NewSource(5))
+	for id := int64(0); id < 40; id++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO p VALUES (%d, '%s')", id, title(r, id%2 == 0)))
+	}
+	mustExec(t, s, `CREATE CLASSIFICATION VIEW v KEY id
+		ENTITIES FROM p KEY id EXAMPLES FROM fb KEY id LABEL l
+		FEATURE FUNCTION tf_bag_of_words USING SVM`)
+	mustExec(t, s, "ATTACH ENGINE TO v")
+	for id := int64(0); id < 20; id++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO fb VALUES (%d, %d)", id, 1-2*(id%2)))
+	}
+	cv, err := s.DB().View("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := cv.ff.(*feature.TFBagOfWords).Vocab
+	size := vocab.Size()
+	// The growing reference: the same corpus pass, in table order, then
+	// each read's text folded in before it is featurized.
+	ref := feature.NewTFBagOfWords()
+	var corpus []string
+	if err := cv.Entities().Scan(func(_ int64, text string) error { corpus = append(corpus, text); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	ref.ComputeStats(corpus)
+	model := s.DB().AttachedEngine("v").Snapshot().Model()
+	for i := 0; i < 10000; i++ {
+		text := fmt.Sprintf("databases w%d", i)
+		got, err := s.Classify("v", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.ComputeStatsInc(text)
+		if want := model.Predict(ref.ComputeFeature(text)); got != want {
+			t.Fatalf("CLASSIFY %q = %d, growing reference %d", text, got, want)
+		}
+	}
+	if got := vocab.Size(); got != size {
+		t.Fatalf("10,000 CLASSIFY reads grew the vocabulary from %d to %d terms", size, got)
+	}
+}
