@@ -33,7 +33,7 @@ func (v *Vocab) addDoc(dst []int32, doc string) []int32 {
 	return v.add(dst, appendTokens(toks[:0], doc))
 }
 
-// featurize returns doc's l1-normalized weighted term frequencies: a
+// featurize returns doc's ℓ1-normalized weighted term frequencies: a
 // term that occurs c times gets c*weight(i), explicit zeros are dropped
 // and Idx is sorted, as vector.FromMap gives them. Counts come from
 // sorting the document's term indices and counting runs, so the only
@@ -128,7 +128,7 @@ func bump(counts []int, i int32) []int {
 	return counts
 }
 
-// TFBagOfWords is tf_bag_of_words: l1-normalized term frequencies.
+// TFBagOfWords is tf_bag_of_words: ℓ1-normalized term frequencies.
 // It needs no corpus statistics (App. A.2).
 type TFBagOfWords struct {
 	Vocab *Vocab
@@ -153,12 +153,12 @@ func (f *TFBagOfWords) ComputeStatsInc(doc string) {
 	f.Vocab.addDoc(idx[:0], doc)
 }
 
-// ComputeFeature returns the l1-normalized term-frequency vector.
+// ComputeFeature returns the ℓ1-normalized term-frequency vector.
 func (f *TFBagOfWords) ComputeFeature(doc string) vector.Vector {
 	return featurize(f.Vocab, doc, func(int32) float64 { return 1 })
 }
 
-// TFIDF is tf_idf_bag_of_words: tf*idf scores with document
+// TFIDF is tf_idf_bag_of_words: tf·idf scores with document
 // frequencies maintained incrementally by ComputeStatsInc, mirroring
 // the catalog-table flow described in App. A.2.
 type TFIDF struct {
@@ -205,7 +205,7 @@ func (f *TFIDF) DocCount() int {
 	return f.docs
 }
 
-// ComputeFeature returns the l1-normalized tf*idf vector. idf uses
+// ComputeFeature returns the ℓ1-normalized tf·idf vector. idf uses
 // the smoothed form log((1+N)/(1+df)).
 func (f *TFIDF) ComputeFeature(doc string) vector.Vector {
 	f.mu.RLock()
@@ -216,7 +216,7 @@ func (f *TFIDF) ComputeFeature(doc string) vector.Vector {
 	})
 }
 
-// TFICF is tf_icf (term frequency-inverse corpus frequency, [31] in
+// TFICF is tf_icf (term frequency–inverse corpus frequency, [31] in
 // the paper): corpus frequencies are fixed by ComputeStats and
 // explicitly NOT updated per new document.
 type TFICF struct {
@@ -251,7 +251,7 @@ func (f *TFICF) ComputeStatsInc(doc string) {
 	f.Vocab.addDoc(buf[:0], doc)
 }
 
-// ComputeFeature returns the l1-normalized tf*icf vector.
+// ComputeFeature returns the ℓ1-normalized tf·icf vector.
 func (f *TFICF) ComputeFeature(doc string) vector.Vector {
 	n := float64(1 + f.total)
 	return featurize(f.Vocab, doc, func(i int32) float64 {
