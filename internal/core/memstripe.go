@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -28,24 +29,35 @@ type memEntry struct {
 // id lookup that misses the segment scans at most maxDelta ids.
 const maxDelta = 512
 
+// rebaseFrac bounds a segment's recent id map at 1/rebaseFrac of its
+// base map. Past it the next segment rebuilds the base: an O(n/P) map
+// build amortized over n/(P·rebaseFrac) new rows, while a segment that
+// adds rows copies at most that many ids.
+const rebaseFrac = 8
+
 // memSegment is the immutable part of a main-memory stripe: its rows in
 // (eps, id) order as parallel columns — ids, eps, the labels assigned
 // when the segment was built, and each row's feature vector as its
-// number in the live store's vector array — plus a position index from
-// id to slot. It is built once per reorganization — work charged to the
-// Skiing cost S with the rest of the rewrite — or when the insert delta
-// folds in, and never written afterwards, so any number of published
-// versions share it. The index maps an id to its vector number, which
-// a reorganization never changes, and slotOf maps the number to its
-// slot, so a reorganization that adds no rows rebuilds only slotOf and
-// shares the map.
+// number in the live store's vector arena — plus an id index. It is
+// built once per reorganization — work charged to the Skiing cost S
+// with the rest of the rewrite — or when the insert delta folds in, and
+// never written afterwards, so any number of published versions share
+// it.
+//
+// The index maps an id to its vector number, which a reorganization
+// never changes, and slotOf maps the number to its slot. Its base map
+// is shared, read-only, by every later segment; recent holds only the
+// ids numbered since the base was built. So a reorganization or fold
+// that adds k rows re-indexes those k (plus the recent ones it copies),
+// not all n.
 type memSegment struct {
 	ids       []int64
 	eps       []float64
 	labels    []int8
 	src       []int32         // vector number per slot
 	slotOf    []int32         // slot per vector number
-	pos       map[int64]int32 // id → vector number; id → slot when src is nil
+	base      map[int64]int32 // id → vector number; id → slot when src is nil
+	recent    map[int64]int32 // id → vector number, for ids not in base
 	positives int             // slots labeled +1
 }
 
@@ -67,26 +79,52 @@ func (g *memSegment) add(id int64, eps float64, label int8) {
 	}
 }
 
-// index builds the position index once every row is in place. Rows
+// index builds a fresh base map once every row is in place. Rows
 // without vector numbers (versions materialized from disk or from the
 // naive view) index their slots directly.
 func (g *memSegment) index() error {
-	g.pos = make(map[int64]int32, len(g.ids))
+	g.base, g.recent = make(map[int64]int32, len(g.ids)), nil
 	for i, id := range g.ids {
 		n := int32(i)
 		if g.src != nil {
 			n = g.src[i]
 		}
-		if g.pos[id] = n; len(g.pos) != i+1 {
+		if g.base[id] = n; len(g.base) != i+1 {
 			return fmt.Errorf("core: duplicate entity %d", id)
 		}
 	}
 	return nil
 }
 
+// extend indexes a segment holding prev's rows plus the rows numbered
+// first, first+1, … for the ids in added. It shares prev's base map and
+// copies prev's recent one, unless the recent ids would pass
+// 1/rebaseFrac of the base: then it builds a fresh base. Only Load's
+// rows can repeat an id (Insert rejects duplicates), and they always
+// take the fresh-base path, whose index rejects them.
+func (g *memSegment) extend(prev *memSegment, added []int64, first int32) error {
+	if len(added) == 0 {
+		g.base, g.recent = prev.base, prev.recent
+		return nil
+	}
+	if (len(prev.recent)+len(added))*rebaseFrac > len(prev.base) {
+		return g.index()
+	}
+	g.base = prev.base
+	g.recent = make(map[int64]int32, len(prev.recent)+len(added))
+	maps.Copy(g.recent, prev.recent)
+	for k, id := range added {
+		g.recent[id] = first + int32(k)
+	}
+	return nil
+}
+
 // slot finds id's slot.
 func (g *memSegment) slot(id int64) (int, bool) {
-	n, ok := g.pos[id]
+	n, ok := g.base[id]
+	if !ok {
+		n, ok = g.recent[id]
+	}
 	if ok && g.slotOf != nil {
 		n = g.slotOf[n]
 	}
@@ -224,10 +262,10 @@ func (v *memVersion) NearestZero(k int) ([]SnapEntry, error) {
 // cursor streams the rows with eps ∈ [lo, hi] in (eps, id) order. A
 // frozen version's stored labels are already exact (res nil); the live
 // store resolves lazy labels with its vectors.
-func (v *memVersion) cursor(lo, hi float64, res *LabelResolver, feats []vector.Vector) *memCursor {
+func (v *memVersion) cursor(lo, hi float64, res *LabelResolver, vecs *vecArena) *memCursor {
 	a, b := v.seg.span(lo, hi)
 	c, d := deltaSpan(v.delta, lo, hi)
-	return &memCursor{v: v, res: res, feats: feats, i: a, end: b, j: c, dend: d}
+	return &memCursor{v: v, res: res, vecs: vecs, i: a, end: b, j: c, dend: d}
 }
 
 // countMembers counts the +1 labels of a version in O(band + delta):
@@ -256,7 +294,7 @@ func (v *memVersion) countMembers() int {
 type memCursor struct {
 	v       *memVersion
 	res     *LabelResolver
-	feats   []vector.Vector
+	vecs    *vecArena
 	i, end  int // segment slots
 	j, dend int // delta rows
 }
@@ -268,7 +306,7 @@ func (c *memCursor) Next() (SnapEntry, bool, error) {
 		c.i++
 		label := c.v.slotLabel(i)
 		if c.res != nil {
-			label = c.res.resolve(g.eps[i], label, c.feats[g.src[i]])
+			label = c.res.resolve(g.eps[i], label, c.vecs.at(g.src[i]))
 		}
 		return SnapEntry{ID: g.ids[i], Eps: g.eps[i], Label: label}, true, nil
 	}
@@ -295,18 +333,86 @@ func (c *memCursor) NextBatch(dst []SnapEntry) (int, error) {
 
 func (c *memCursor) Close() {}
 
+// vecArena holds feature vectors by number in flat columns: vector k
+// is (idx, val)[off[k]:off[k+1]]. It is append-only, so numbers never
+// move. A dense vector is stored with explicit indices 0…n−1, so that
+// vector.Dot's sparse path sums the same terms in the same order as its
+// dense path did.
+type vecArena struct {
+	off []int32 // len = vectors + 1 once any is stored
+	idx []int32
+	val []float64
+}
+
+func (a *vecArena) len() int { return max(0, len(a.off)-1) }
+
+// at reads vector k in place.
+func (a *vecArena) at(k int32) vector.Vector {
+	lo, hi := a.off[k], a.off[k+1]
+	return vector.Vector{Idx: a.idx[lo:hi:hi], Val: a.val[lo:hi:hi]}
+}
+
+// add appends f and returns its number.
+func (a *vecArena) add(f vector.Vector) int32 {
+	if len(a.off) == 0 {
+		a.off = append(a.off, 0)
+	}
+	if f.IsDense() {
+		for i := range f.Val {
+			a.idx = append(a.idx, int32(i))
+		}
+		a.val = append(a.val, f.Val...)
+	} else {
+		a.idx = append(a.idx, f.Idx...)
+		a.val = append(a.val, f.Val[:len(f.Idx)]...)
+	}
+	a.off = append(a.off, int32(len(a.val)))
+	return int32(len(a.off) - 2)
+}
+
+// reserve makes room for rows more vectors holding vals more values.
+// When a column must grow it grows by an eighth more than asked, so a
+// write path that numbers a few rows at a time rarely copies the arena.
+func (a *vecArena) reserve(rows, vals int) {
+	a.off = roomFor(a.off, rows+1)
+	a.idx = roomFor(a.idx, vals)
+	a.val = roomFor(a.val, vals)
+}
+
+func roomFor[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, n+(len(s)+n)/8)
+}
+
+// reset empties the arena, keeping its capacity.
+func (a *vecArena) reset() {
+	a.off, a.idx, a.val = a.off[:0], a.idx[:0], a.val[:0]
+}
+
 // memStripeStore is the main-memory stripe layout (Hazy-MM, §3.5.1):
 // an eps-clustered segment with a hash index — "we still cluster the
 // data in main memory, which is crucial to achieve good performance" —
 // plus the live band overlay and insert delta. An unstriped Hazy-MM
 // view is one such stripe.
+//
+// The clustering extends to the feature vectors. They live in a flat
+// arena by number, which Rebuild reads front to back. The eager sweep
+// reads the band's vectors from two band columns in slot order: up
+// holds slots [bandAt, lo+len(band)) ascending, and down holds slots
+// [lo, bandAt) descending, nearest first. Between reorganizations the
+// band only widens (lw only falls and hw only rises), so both columns
+// only append; install empties them.
 type memStripeStore struct {
 	memVersion
-	// feats holds every segment row's vector by number. It only ever
-	// grows, so reorganizing moves numbers, never vectors.
-	feats  []vector.Vector
-	loaded []Entity     // Load's rows, held for the Rebuild that follows
-	keys   []clusterKey // Rebuild's sort scratch
+	vecs     vecArena
+	up, down vecArena
+	bandAt   int          // the slot the band started at
+	loaded   []Entity     // Load's rows, held for the Rebuild that follows
+	added    []int64      // ids numbered since the last install, in number order
+	keys     []clusterKey // Rebuild's sort scratch
+	eps      []float64    // Rebuild's eps by vector number
 }
 
 // clusterKey is one row being clustered by Rebuild.
@@ -317,7 +423,7 @@ type clusterKey struct {
 }
 
 func newMemStripeStore() *memStripeStore {
-	return &memStripeStore{memVersion: memVersion{seg: &memSegment{pos: map[int64]int32{}}}}
+	return &memStripeStore{memVersion: memVersion{seg: &memSegment{}}}
 }
 
 func (s *memStripeStore) Load(entities []Entity, _ func(f vector.Vector) int) error {
@@ -325,27 +431,30 @@ func (s *memStripeStore) Load(entities []Entity, _ func(f vector.Vector) int) er
 	return nil
 }
 
-// number files f in the vector array and returns its number.
-func (s *memStripeStore) number(f vector.Vector) int32 {
-	s.feats = append(s.feats, f)
-	return int32(len(s.feats) - 1)
+// number files a new row's vector in the arena and returns its number;
+// the next install indexes its id.
+func (s *memStripeStore) number(id int64, f vector.Vector) int32 {
+	s.added = append(s.added, id)
+	return s.vecs.add(f)
 }
 
 // install completes a segment built from the live rows — slotOf over
-// every vector number, and the position index, shared with the
-// previous segment when the rows are the same ones — and makes it the
-// live one with an empty overlay and delta.
-func (s *memStripeStore) install(g *memSegment, sameRows bool) error {
-	g.slotOf = make([]int32, len(s.feats))
+// every vector number, and the id index, extended from the previous
+// segment's by the rows numbered since — and makes it the live one
+// with an empty overlay and delta.
+func (s *memStripeStore) install(g *memSegment) error {
+	g.slotOf = make([]int32, s.vecs.len())
 	for slot, n := range g.src {
 		g.slotOf[n] = int32(slot)
 	}
-	if sameRows {
-		g.pos = s.seg.pos
-	} else if err := g.index(); err != nil {
+	err := g.extend(s.seg, s.added, int32(s.vecs.len()-len(s.added)))
+	s.added = nil
+	if err != nil {
 		return err
 	}
 	s.memVersion = memVersion{seg: g}
+	s.up.reset()
+	s.down.reset()
 	return nil
 }
 
@@ -365,6 +474,11 @@ func (s *memStripeStore) Insert(id int64, eps float64, class int, f vector.Vecto
 // and stored label: a compaction, not a reorganization — the stored
 // model and the watermarks do not change.
 func (s *memStripeStore) fold() {
+	vals := 0
+	for k := range s.delta {
+		vals += len(s.delta[k].f.Val)
+	}
+	s.vecs.reserve(len(s.delta), vals)
 	old := s.seg
 	g := newMemSegment(s.Len())
 	g.src = make([]int32, 0, s.Len())
@@ -378,10 +492,10 @@ func (s *memStripeStore) fold() {
 		}
 		d := &s.delta[k]
 		g.add(d.id, d.eps, d.label)
-		g.src = append(g.src, s.number(d.f))
+		g.src = append(g.src, s.number(d.id, d.f))
 		k++
 	}
-	_ = s.install(g, false) // Insert already rejected duplicates
+	_ = s.install(g) // Insert already rejected duplicates
 }
 
 func (s *memStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager bool) (int, error) {
@@ -395,7 +509,7 @@ func (s *memStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager 
 	if d != nil {
 		eps, label, f = d.eps, d.label, d.f
 	} else {
-		eps, label, f = s.seg.eps[slot], s.slotLabel(slot), s.feats[s.seg.src[slot]]
+		eps, label, f = s.seg.eps[slot], s.slotLabel(slot), s.vecs.at(s.seg.src[slot])
 	}
 	if l, certain := wm.Test(eps); certain {
 		return l, nil
@@ -407,25 +521,43 @@ func (s *memStripeStore) Label(id int64, wm *Watermark, cur *learn.Model, eager 
 }
 
 func (s *memStripeStore) Cursor(lo, hi float64, res *LabelResolver) (RowCursor, error) {
-	return s.cursor(lo, hi, res, s.feats), nil
+	return s.cursor(lo, hi, res, &s.vecs), nil
 }
 
 // Rebuild reclusters every row — segment, delta and loaded — into a
 // fresh segment under epsOf with labels sign(eps); published versions
-// keep the old one. Walking the old segment in slot order hands the
-// sort a nearly sorted input.
+// keep the old one. The new rows are numbered first; then one pass over
+// the arena in number order takes every row's eps, and the keys are
+// built in the old segment's slot order, which hands the sort a nearly
+// sorted input.
 func (s *memStripeStore) Rebuild(epsOf func(f vector.Vector) float64) error {
-	sameRows := len(s.delta) == 0 && len(s.loaded) == 0
-	keys := s.keys[:0]
-	for slot, id := range s.seg.ids {
-		n := s.seg.src[slot]
-		keys = append(keys, clusterKey{eps: epsOf(s.feats[n]), id: id, src: n})
-	}
-	for _, d := range s.delta {
-		keys = append(keys, clusterKey{eps: epsOf(d.f), id: d.id, src: s.number(d.f)})
+	vals := 0
+	for k := range s.delta {
+		vals += len(s.delta[k].f.Val)
 	}
 	for _, e := range s.loaded {
-		keys = append(keys, clusterKey{eps: epsOf(e.F), id: e.ID, src: s.number(e.F)})
+		vals += len(e.F.Val)
+	}
+	s.vecs.reserve(len(s.delta)+len(s.loaded), vals)
+	first := int32(s.vecs.len())
+	for k := range s.delta {
+		s.number(s.delta[k].id, s.delta[k].f)
+	}
+	for _, e := range s.loaded {
+		s.number(e.ID, e.F)
+	}
+	eps := slices.Grow(s.eps[:0], s.vecs.len())
+	for n := range int32(s.vecs.len()) {
+		eps = append(eps, epsOf(s.vecs.at(n)))
+	}
+	keys := slices.Grow(s.keys[:0], s.vecs.len())
+	for slot, id := range s.seg.ids {
+		n := s.seg.src[slot]
+		keys = append(keys, clusterKey{eps: eps[n], id: id, src: n})
+	}
+	for k, id := range s.added {
+		n := first + int32(k)
+		keys = append(keys, clusterKey{eps: eps[n], id: id, src: n})
 	}
 	slices.SortFunc(keys, func(a, b clusterKey) int {
 		switch {
@@ -442,29 +574,46 @@ func (s *memStripeStore) Rebuild(epsOf func(f vector.Vector) float64) error {
 		g.add(k.id, k.eps, int8(learn.Sign(k.eps)))
 		g.src = append(g.src, k.src)
 	}
-	s.keys, s.loaded = keys, nil
-	return s.install(g, sameRows)
+	s.keys, s.eps, s.loaded = keys, eps, nil
+	return s.install(g)
 }
 
 // widen makes the band overlay cover segment slots [a, b), seeding new
-// cells from the segment's labels.
+// cells from the segment's labels and filing their vectors in the band
+// columns.
 func (s *memStripeStore) widen(a, b int) {
-	if len(s.band) > 0 {
+	if len(s.band) == 0 {
+		s.lo, s.bandAt = a, a
+	} else {
 		a, b = min(a, s.lo), max(b, s.lo+len(s.band))
 	}
-	if a >= b || (a == s.lo && b-a == len(s.band)) {
+	hi := s.lo + len(s.band)
+	if a >= b || (a == s.lo && b == hi) {
 		return
 	}
 	band := slices.Clone(s.seg.labels[a:b])
-	copy(band[max(0, s.lo-a):], s.band)
+	copy(band[s.lo-a:], s.band)
+	for i := hi; i < b; i++ {
+		s.up.add(s.vecs.at(s.seg.src[i]))
+	}
+	for i := s.lo - 1; i >= a; i-- {
+		s.down.add(s.vecs.at(s.seg.src[i]))
+	}
 	s.lo, s.band = a, band
 }
 
+// SweepBand reclassifies the band's segment rows from the band columns,
+// each in memory order, then the delta's.
 func (s *memStripeStore) SweepBand(lo, hi float64, predict func(f vector.Vector) int) (int, error) {
 	a, b := s.seg.span(lo, hi)
 	s.widen(a, b)
-	for i := a; i < b; i++ {
-		s.band[i-s.lo] = int8(predict(s.feats[s.seg.src[i]]))
+	// Slot i < bandAt is down's vector bandAt−1−i; slot i ≥ bandAt is
+	// up's vector i−bandAt.
+	for k := s.bandAt - min(b, s.bandAt); k < s.bandAt-a; k++ {
+		s.band[s.bandAt-1-k-s.lo] = int8(predict(s.down.at(int32(k))))
+	}
+	for i := max(a, s.bandAt); i < b; i++ {
+		s.band[i-s.lo] = int8(predict(s.up.at(int32(i - s.bandAt))))
 	}
 	c, d := deltaSpan(s.delta, lo, hi)
 	for k := c; k < d; k++ {
@@ -484,7 +633,7 @@ func (s *memStripeStore) Freeze(lw, hw float64, res *LabelResolver) (*memVersion
 		a, b := s.seg.span(lw, hw)
 		v.lo, v.band = a, make([]int8, b-a)
 		for i := a; i < b; i++ {
-			v.band[i-a] = res.resolve(s.seg.eps[i], s.slotLabel(i), s.feats[s.seg.src[i]])
+			v.band[i-a] = res.resolve(s.seg.eps[i], s.slotLabel(i), s.vecs.at(s.seg.src[i]))
 		}
 		for k := range v.delta {
 			d := &v.delta[k]

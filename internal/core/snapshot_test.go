@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,6 +352,84 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 				}
 				b.StartTimer()
 				if benchSnapshot, err = v.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSweepBand times one eager band sweep at 200k entities over a
+// fixed band of ~6 % of every stripe around eps = 0 — about the share
+// the write workload sweeps per batch — and reports it per band row.
+func BenchmarkSweepBand(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	entities := testEntities(r, 200_000)
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			v, err := NewStriped(entities, p, Options{Reorg: ReorgNever, Norm: math.Inf(1),
+				SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 200)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur := v.Model()
+			bands := make([][2]float64, p)
+			rows := 0
+			for i, st := range v.stripes {
+				eps := st.store.(*memStripeStore).seg.eps
+				z, w := sort.SearchFloat64s(eps, 0), len(eps)*3/100
+				a, c := max(0, z-w), min(len(eps)-1, z+w)
+				bands[i] = [2]float64{eps[a], eps[c]}
+				rows += c - a + 1
+			}
+			sweep := func() {
+				err := v.forStripes(func(i int, st *stripe) error {
+					_, err := st.store.SweepBand(bands[i][0], bands[i][1], cur.Predict)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			sweep() // the first sweep widens the overlay over the band
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+		})
+	}
+}
+
+// BenchmarkReorganize times one reorganization of every stripe at 200k
+// entities, after a batch has moved the model and one entity has been
+// inserted: the reclustering a Skiing decision charges to S.
+func BenchmarkReorganize(b *testing.B) {
+	r := rand.New(rand.NewSource(9))
+	entities := testEntities(r, 200_000)
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			v, err := NewStriped(entities, p, Options{Reorg: ReorgNever, Norm: math.Inf(1),
+				SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 200)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			next := int64(len(entities))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := v.UpdateBatch(trainingStream(r, 1)); err != nil {
+					b.Fatal(err)
+				}
+				if err := v.Insert(Entity{ID: next, F: trainingStream(r, 1)[0].F}); err != nil {
+					b.Fatal(err)
+				}
+				next++
+				cur := v.Model()
+				b.StartTimer()
+				if err := v.forStripes(func(_ int, st *stripe) error { return st.reorganize(cur) }); err != nil {
 					b.Fatal(err)
 				}
 			}

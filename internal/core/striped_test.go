@@ -62,7 +62,11 @@ func newStripedForTest(t *testing.T, arch Arch, entities []Entity, opts Options)
 // layout may show through the logical contents. Checked in both modes
 // and under every reorg policy (Skiing reorganizes stripes at
 // timing-dependent moments, which may change per-stripe eps values
-// but never labels).
+// but never labels). The vectors mix dense and sparse forms, empty
+// ones, and indices past the model's dimension; one step inserts
+// enough entities to fold every main-memory stripe's delta; and after
+// every step each stored eps must be, bit for bit, the entity's
+// activation under its stripe's stored model.
 func TestStripedEquivalence(t *testing.T) {
 	for _, arch := range []Arch{MainMemory, OnDisk, HybridArch} {
 		for _, mode := range []Mode{Eager, Lazy} {
@@ -70,6 +74,9 @@ func TestStripedEquivalence(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", arch, mode, reorg), func(t *testing.T) {
 					r := rand.New(rand.NewSource(7))
 					entities := testEntities(r, 400)
+					for i := range entities {
+						entities[i].F = oracleVector(r)
+					}
 					opts := Options{Mode: mode, Reorg: reorg, Norm: math.Inf(1),
 						SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 20)}
 					single, err := NewStriped(entities, 1, opts)
@@ -105,6 +112,17 @@ func TestStripedEquivalence(t *testing.T) {
 						if sc != tc || sc != len(oracle) {
 							t.Fatalf("step %d: counts diverge: striped %d, single %d, oracle %d", step, tc, sc, len(oracle))
 						}
+						for _, v := range []*StripedView{single, striped} {
+							for id, f := range feats {
+								st := v.stripes[stripeOf(id, len(v.stripes))]
+								got, err := v.EpsOf(id)
+								want := st.wm.Stored().Activation(f)
+								if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("step %d: %d stripes: EpsOf(%d) = %v (%v), stored model's activation %v",
+										step, len(v.stripes), id, got, err, want)
+								}
+							}
+						}
 						for id := int64(0); id < nextID; id += 7 {
 							sl, serr := single.Label(id)
 							tl, terr := striped.Label(id)
@@ -116,7 +134,25 @@ func TestStripedEquivalence(t *testing.T) {
 							}
 						}
 					}
+					insert := func(n int) {
+						for ; n > 0; n-- {
+							e := Entity{ID: nextID, F: oracleVector(r)}
+							nextID++
+							feats[e.ID] = e.F
+							if err := single.Insert(e); err != nil {
+								t.Fatal(err)
+							}
+							if err := striped.Insert(e); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 					for step := 0; step < 30; step++ {
+						if step == 15 { // past maxDelta in every stripe: each delta folds
+							insert(5 * maxDelta)
+							check(step)
+							continue
+						}
 						switch r.Intn(3) {
 						case 0: // one update
 							ex := trainingStream(r, 1)
@@ -135,17 +171,7 @@ func TestStripedEquivalence(t *testing.T) {
 								t.Fatal(err)
 							}
 						default: // inserts
-							for n := 1 + r.Intn(4); n > 0; n-- {
-								e := Entity{ID: nextID, F: vector.NewDense([]float64{r.Float64() * 2, r.Float64() * 2})}
-								nextID++
-								feats[e.ID] = e.F
-								if err := single.Insert(e); err != nil {
-									t.Fatal(err)
-								}
-								if err := striped.Insert(e); err != nil {
-									t.Fatal(err)
-								}
-							}
+							insert(1 + r.Intn(4))
 						}
 						check(step)
 					}
@@ -174,6 +200,24 @@ func TestStripedEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracleVector draws one entity's features for TestStripedEquivalence:
+// mostly dense 2-vectors like the training stream's, plus empty vectors
+// (dense and sparse), and dense and sparse vectors with components
+// past the model's two weights.
+func oracleVector(r *rand.Rand) vector.Vector {
+	switch r.Intn(8) {
+	case 0:
+		return vector.Vector{}
+	case 1:
+		return vector.NewSparse([]int32{}, []float64{})
+	case 2:
+		return vector.NewDense([]float64{r.Float64() * 2, r.Float64() * 2, r.Float64()})
+	case 3:
+		return vector.NewSparse([]int32{1, 5, 9}, []float64{r.Float64() * 2, r.Float64(), r.Float64()})
+	}
+	return vector.NewDense([]float64{r.Float64() * 2, r.Float64() * 2})
 }
 
 func equalIDs(a, b []int64) bool {
