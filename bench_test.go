@@ -430,8 +430,8 @@ func sqlBenchSession(b *testing.B) *Session {
 			return
 		}
 		// A second, partition-striped view over the same corpus, left
-		// unmanaged so its reads exercise the live scatter-gather merge
-		// scan (engined snapshots gather inside one cursor).
+		// unmanaged so its reads exercise the live view's cursor, which
+		// merges the stripes in (eps, id) order.
 		if _, err := db.CreateClassificationView(ViewSpec{
 			Name: "striped_served", Entities: "papers", Examples: "feedback",
 			Method: "svm", Partitions: 4,

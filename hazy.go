@@ -1235,9 +1235,11 @@ type insertBatcher interface {
 // ApplyAddBatch group-applies a run of entity inserts: every row is
 // durably logged and featurized in arrival order, then the view
 // absorbs the whole run in one call — parallel across stripes when
-// the layout supports it. Error slots are positional; a failed view
-// insert deletes its (already logged) row back out, exactly like
-// ApplyAdd.
+// the layout supports it. Error slots are positional. A failed view
+// insert deletes its already logged row back out (the delete is itself
+// logged), so tables, view and recovery all agree the ADD did not
+// happen; the corpus-stats increment is not unwound, since feature
+// stats are an approximation either way.
 func (b *viewBackend) ApplyAddBatch(ops []engine.AddOp) []error {
 	cv := b.cv
 	errs := make([]error, len(ops))
@@ -1267,24 +1269,6 @@ func (b *viewBackend) ApplyAddBatch(ops []engine.AddOp) []error {
 		}
 	}
 	return errs
-}
-
-func (b *viewBackend) ApplyAdd(id int64, text string) error {
-	cv := b.cv
-	if err := cv.ents.tbl.InsertDeferred(relation.Tuple{id, text}); err != nil {
-		return err
-	}
-	cv.ff.ComputeStatsInc(text)
-	if err := cv.view.Insert(core.Entity{ID: id, F: cv.ff.ComputeFeature(text)}); err != nil {
-		// The entity row is already durably logged but the view never
-		// saw it and the client is NACKed: delete it back out (the
-		// delete is itself logged), so tables, view, and recovery all
-		// agree the ADD did not happen. The corpus-stats increment is
-		// not unwound — feature stats are an approximation either way.
-		_ = cv.ents.tbl.Delete(id) //nolint:errcheck — best effort under a failing view
-		return err
-	}
-	return nil
 }
 
 // Commit is the engine's group-commit barrier: one WAL fsync (in

@@ -611,8 +611,8 @@ func (v *StripedView) EpsOf(id int64) (float64, error) {
 }
 
 // ScanEpsStripe streams one stripe's rows with eps ∈ [lo, hi], eps-
-// ascending — the scatter half of a scatter-gather read; the exec
-// layer's merge-scan operator (or ScanEps below) is the gather half.
+// ascending — the scatter half of a scatter-gather read; ScanEps
+// below is the gather half.
 func (v *StripedView) ScanEpsStripe(i int, lo, hi float64) (RowCursor, error) {
 	if i < 0 || i >= len(v.stripes) {
 		return nil, fmt.Errorf("core: no stripe %d", i)

@@ -26,9 +26,12 @@ type Backend interface {
 	// rejects that op (unknown entity, duplicate example, bad label)
 	// without failing the rest of the batch.
 	ApplyTrainBatch(ops []TrainOp) []error
-	// ApplyAdd durably inserts a new entity and classifies it under
-	// the current model (type-1 dynamic data).
-	ApplyAdd(id int64, text string) error
+	// ApplyAddBatch durably inserts a run of new entities and
+	// classifies each under the current model (type-1 dynamic data);
+	// a partition-striped view scatters the run to its stripes and
+	// applies each stripe's share in parallel. Like ApplyTrainBatch it
+	// returns one error slot per op, positionally.
+	ApplyAddBatch(ops []AddOp) []error
 	// Snapshot exports an immutable read snapshot of the view.
 	Snapshot() (*core.Snapshot, error)
 	// Feature featurizes free text for ad-hoc classification against
@@ -41,15 +44,6 @@ type Backend interface {
 type AddOp struct {
 	ID   int64
 	Text string
-}
-
-// AddBatcher is implemented by backends that can group-apply a run of
-// entity inserts — a partition-striped view scatters the batch to its
-// stripes and applies each stripe's share in parallel. Like
-// ApplyTrainBatch it returns one error slot per op, positionally.
-// Backends without it get one ApplyAdd call per op.
-type AddBatcher interface {
-	ApplyAddBatch(ops []AddOp) []error
 }
 
 // Committer is implemented by backends whose durable writes ride a

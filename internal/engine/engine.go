@@ -428,13 +428,13 @@ func (e *Engine) fill(first op) []op {
 
 // apply group-applies one drained batch. Consecutive same-kind ops
 // fold into single group calls — TRAIN runs into ApplyTrainBatch (one
-// maintenance sweep per run), ADD runs into ApplyAddBatch when the
-// backend supports it (a striped view scatters the run across its
-// stripes in parallel) — while runs apply in arrival order, preserving
-// the client-observed op order. The snapshot is published once per
-// batch, before any waiter is signalled, so a synchronous writer's
-// next read sees its write: however many stripes worked in parallel,
-// readers observe exactly one publish barrier per batch.
+// maintenance sweep per run), ADD runs into ApplyAddBatch (a striped
+// view scatters the run across its stripes in parallel) — while runs
+// apply in arrival order, preserving the client-observed op order.
+// The snapshot is published once per batch, before any waiter is
+// signalled, so a synchronous writer's next read sees its write:
+// however many stripes worked in parallel, readers observe exactly one
+// publish barrier per batch.
 func (e *Engine) apply(batch []op) {
 	errs := make([]error, len(batch))
 	mutated, perr := e.applyMutations(batch, errs)
@@ -520,23 +520,14 @@ func (e *Engine) applyMutations(batch []op, errs []error) (mutated bool, perr er
 			}
 			e.stats.trains.Add(uint64(len(ops)))
 		case opAdd:
-			if ab, ok := e.be.(AddBatcher); ok {
-				ops := make([]AddOp, 0, len(run))
-				for _, o := range run {
-					ops = append(ops, AddOp{ID: o.id, Text: o.text})
-				}
-				for i, err := range ab.ApplyAddBatch(ops) {
-					errs[runStart+i] = err
-					if err == nil {
-						mutated = true
-					}
-				}
-			} else {
-				for i, o := range run {
-					errs[runStart+i] = e.be.ApplyAdd(o.id, o.text)
-					if errs[runStart+i] == nil {
-						mutated = true
-					}
+			ops := make([]AddOp, 0, len(run))
+			for _, o := range run {
+				ops = append(ops, AddOp{ID: o.id, Text: o.text})
+			}
+			for i, err := range e.be.ApplyAddBatch(ops) {
+				errs[runStart+i] = err
+				if err == nil {
+					mutated = true
 				}
 			}
 			e.stats.adds.Add(uint64(len(run)))

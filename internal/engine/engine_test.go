@@ -19,9 +19,10 @@ type memBackend struct {
 	view  *core.StripedView
 	feats map[int64]vector.Vector
 
-	gate         chan struct{} // when non-nil, ApplyAdd blocks on it
+	gate         chan struct{} // when non-nil, ApplyAddBatch blocks on it
 	gateEntered  chan struct{}
 	trainBatches [][]TrainOp
+	addBatches   [][]AddOp
 }
 
 func featFor(text string) (vector.Vector, error) {
@@ -78,17 +79,23 @@ func (b *memBackend) ApplyTrainBatch(ops []TrainOp) []error {
 	return errs
 }
 
-func (b *memBackend) ApplyAdd(id int64, text string) error {
+func (b *memBackend) ApplyAddBatch(ops []AddOp) []error {
 	if b.gate != nil {
 		b.gateEntered <- struct{}{}
 		<-b.gate
 	}
-	f, err := featFor(text)
-	if err != nil {
-		return err
+	b.addBatches = append(b.addBatches, append([]AddOp(nil), ops...))
+	errs := make([]error, len(ops))
+	for i, op := range ops {
+		f, err := featFor(op.Text)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		b.feats[op.ID] = f
+		errs[i] = b.view.Insert(core.Entity{ID: op.ID, F: f})
 	}
-	b.feats[id] = f
-	return b.view.Insert(core.Entity{ID: id, F: f})
+	return errs
 }
 
 func (b *memBackend) Snapshot() (*core.Snapshot, error) { return b.view.Snapshot() }
@@ -454,44 +461,20 @@ func TestClassifyUntrainedView(t *testing.T) {
 	}
 }
 
-// batchAddBackend implements AddBatcher over memBackend, recording
-// the ADD runs the engine hands it.
-type batchAddBackend struct {
-	*memBackend
-	addGate        chan struct{}
-	addGateEntered chan struct{}
-	addBatches     [][]AddOp
-}
-
-func (b *batchAddBackend) ApplyAddBatch(ops []AddOp) []error {
-	if b.addGate != nil {
-		b.addGateEntered <- struct{}{}
-		<-b.addGate
-	}
-	b.addBatches = append(b.addBatches, append([]AddOp(nil), ops...))
-	errs := make([]error, len(ops))
-	for i, op := range ops {
-		errs[i] = b.memBackend.ApplyAdd(op.ID, op.Text)
-	}
-	return errs
-}
-
-// TestAddBatchFolding: consecutive queued ADDs reach an AddBatcher
-// backend as one group call (the striped scatter path), with
-// positional errors still attributed per op.
+// TestAddBatchFolding: consecutive queued ADDs reach the backend as
+// one group call (the striped scatter path), with positional errors
+// still attributed per op.
 func TestAddBatchFolding(t *testing.T) {
-	be := &batchAddBackend{
-		memBackend:     newMemBackend(t),
-		addGate:        make(chan struct{}),
-		addGateEntered: make(chan struct{}),
-	}
+	be := newMemBackend(t)
+	be.gate = make(chan struct{})
+	be.gateEntered = make(chan struct{})
 	e := start(t, be, Options{})
 	// Occupy the worker with a first add, queue five more (one bad)
 	// behind it, then release: the five must arrive as one batch.
 	if err := e.AddAsync(10, "pos"); err != nil {
 		t.Fatal(err)
 	}
-	<-be.addGateEntered
+	<-be.gateEntered
 	for id := int64(11); id <= 14; id++ {
 		if err := e.AddAsync(id, "pos"); err != nil {
 			t.Fatal(err)
@@ -500,10 +483,10 @@ func TestAddBatchFolding(t *testing.T) {
 	if err := e.AddAsync(15, "bogus text"); err != nil {
 		t.Fatal(err)
 	}
-	be.addGate <- struct{}{}
-	<-be.addGateEntered
-	be.addGate <- struct{}{}
-	be.addGate = nil
+	be.gate <- struct{}{}
+	<-be.gateEntered
+	be.gate <- struct{}{}
+	be.gate = nil
 
 	if err := e.Flush(); err == nil || !strings.Contains(err.Error(), "unknown text") {
 		t.Fatalf("Flush should surface the bad add, got %v", err)

@@ -59,7 +59,7 @@ func dupCatalog(rows int) *fakeCatalog {
 // every operator at batch sizes 1, 2, 3, and 7 and checks each run
 // returns exactly the rows the default (1024) size does — LIMIT cut
 // mid-batch, sort runs and ABS(eps) ties crossing batches, filters
-// compacting across refills, and the k-way striped merge all included.
+// compacting across refills, and empty views all included.
 func TestBatchBoundaryEquivalence(t *testing.T) {
 	queries := []string{
 		"SELECT id, class, eps FROM dup",
@@ -77,24 +77,16 @@ func TestBatchBoundaryEquivalence(t *testing.T) {
 		"SELECT id FROM empty WHERE eps >= -1 AND eps <= 1",
 		"SELECT COUNT(*) FROM empty",
 		"SELECT id FROM empty ORDER BY ABS(eps) LIMIT 3",
-		"SELECT id, eps FROM sv WHERE eps >= -0.5 AND eps <= 0.5",
-		"SELECT id, eps FROM sv ORDER BY eps",
-		"SELECT COUNT(*) FROM sv WHERE eps > 0",
-	}
-	newCat := func() *fakeCatalog {
-		cat := dupCatalog(24)
-		cat.striped = stripedCatalog().striped
-		return cat
 	}
 	want := map[string][][]string{}
 	for _, q := range queries {
-		_, rows := runOn(t, newCat(), q)
+		_, rows := runOn(t, dupCatalog(24), q)
 		want[q] = rows
 	}
 	for _, size := range []int{1, 2, 3, 7} {
 		withBatchSize(t, size, func() {
 			for _, q := range queries {
-				_, rows := runOn(t, newCat(), q)
+				_, rows := runOn(t, dupCatalog(24), q)
 				if !reflect.DeepEqual(rows, want[q]) {
 					t.Errorf("batch=%d %s:\nrows %v\nwant %v", size, q, rows, want[q])
 				}

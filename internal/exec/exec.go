@@ -155,19 +155,6 @@ type ViewSource interface {
 	ScanEps(lo, hi float64) (Cursor, error)
 }
 
-// StripedSource is the optional scatter half of a partition-striped
-// view's read surface: the stripe count plus a per-stripe eps-range
-// cursor, each stripe eps-ascending on its own. The planner lowers
-// eps-range and full scans over such a source onto the EpsMergeScan
-// operator, which opens one cursor per stripe and gathers the rows
-// back in global (eps, id) order — the scatter-gather read made
-// visible at the plan layer. Engined views never expose it: a
-// published snapshot gathers its stripes inside its own cursor.
-type StripedSource interface {
-	Stripes() int
-	ScanEpsStripe(i int, lo, hi float64) (Cursor, error)
-}
-
 // TableSource is a relational table's read surface: two columns, an
 // id point read through the primary-key index, and a heap-order scan.
 type TableSource interface {

@@ -144,15 +144,11 @@ func (f *fakeTable) Scan() (Cursor, error) {
 }
 
 type fakeCatalog struct {
-	views   map[string]*fakeView
-	tables  map[string]*fakeTable
-	striped *fakeStripedView // optional striped source (merge_test.go)
+	views  map[string]*fakeView
+	tables map[string]*fakeTable
 }
 
 func (c *fakeCatalog) View(name string) (ViewSource, bool, error) {
-	if c.striped != nil && c.striped.name == name {
-		return c.striped, true, nil
-	}
 	v, ok := c.views[name]
 	if !ok {
 		return nil, false, nil
@@ -216,6 +212,12 @@ func drain(t *testing.T, src string, root Operator) [][]string {
 // run plans and executes one statement, returning rendered rows.
 func run(t *testing.T, src string) (*Plan, [][]string) {
 	t.Helper()
+	return runOn(t, testCatalog(), src)
+}
+
+// runOn is run against an explicit catalog.
+func runOn(t *testing.T, cat Catalog, src string) (*Plan, [][]string) {
+	t.Helper()
 	st, err := sqlmini.Parse(src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
@@ -224,7 +226,7 @@ func run(t *testing.T, src string) (*Plan, [][]string) {
 	if !ok {
 		sel = st.(sqlmini.Explain).Sel
 	}
-	plan, err := Build(sel, testCatalog())
+	plan, err := Build(sel, cat)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}

@@ -211,10 +211,9 @@ func buildView(st sqlmini.Select, src ViewSource) (*Plan, error) {
 		ordered = "id"
 	case epsBounded && src.Clustered():
 		// Eps band: an index range scan instead of a rescan — the
-		// paper's reason the clustered layout exists. Striped layouts
-		// scatter the band to their stripes and gather in eps order.
+		// paper's reason the clustered layout exists.
 		classPred()
-		scan = epsScan(src, epsLo, epsHi)
+		scan = NewEpsRange(src, epsLo, epsHi)
 		ordered = "eps"
 	default:
 		classPred()
@@ -225,9 +224,6 @@ func buildView(st sqlmini.Select, src ViewSource) (*Plan, error) {
 		scan = NewFullScan(src)
 		if src.Clustered() {
 			ordered = "eps"
-			if ss, ok := src.(StripedSource); ok && ss.Stripes() > 1 {
-				scan = NewEpsMergeScan(src, ss, math.Inf(-1), math.Inf(1))
-			}
 		}
 		implicitSort = true
 	}
@@ -258,15 +254,6 @@ func buildView(st sqlmini.Select, src ViewSource) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{Root: &Project{Child: scan, Idx: idx, Names: names}, Cols: names}, nil
-}
-
-// epsScan chooses the eps-band leaf: the P-way merge over a striped
-// source, the single index-range cursor otherwise.
-func epsScan(src ViewSource, lo, hi float64) Operator {
-	if ss, ok := src.(StripedSource); ok && ss.Stripes() > 1 {
-		return NewEpsMergeScan(src, ss, lo, hi)
-	}
-	return NewEpsRange(src, lo, hi)
 }
 
 // epsPreds turns unconsumed eps bounds back into filter predicates.

@@ -30,7 +30,8 @@
 //	STATS [view]               → "updates=<n> reorgs=<n> band=<n> [engine counters]"
 //	QUIT                       → "BYE" and the connection closes
 //
-// Errors come back as "ERR <message>".
+// Errors come back as "ERR <message>". A line longer than 1 MiB is
+// answered "ERR statement longer than 1 MiB" and the connection closes.
 //
 // Engine mode is per view, not per server: a view with a maintenance
 // engine attached (hazy.DB.AttachEngine, or the SQL statement ATTACH
@@ -54,6 +55,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	root "hazy"
 )
@@ -148,12 +150,16 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// maxLine caps one protocol line. The scanner buffer starts small and
+// grows to it only for a connection that sends long lines.
+const maxLine = 1 << 20
+
 func (s *Server) session(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 	sess := s.newSession()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
 	w := bufio.NewWriter(conn)
 	for sc.Scan() {
 		quit, err := s.serveLine(sess, sc.Text(), w)
@@ -165,6 +171,26 @@ func (s *Server) session(conn net.Conn) {
 			// coherently (an I/O failure, or a SELECT that died after
 			// rows were already on the wire); the only sound move in a
 			// line-delimited protocol is to drop the connection.
+			return
+		}
+	}
+	if sc.Err() == bufio.ErrTooLong {
+		refuseLine(conn, w)
+	}
+}
+
+// refuseLine answers a line past maxLine before the connection drops.
+// It then reads the rest of the line, for at most a second, so the
+// close is a clean FIN behind the reply rather than a reset that can
+// discard it.
+func refuseLine(conn net.Conn, w *bufio.Writer) {
+	if writeLine(w, "ERR statement longer than 1 MiB") != nil || w.Flush() != nil {
+		return
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck — best effort
+	r := bufio.NewReader(conn)
+	for {
+		if _, err := r.ReadSlice('\n'); err != bufio.ErrBufferFull {
 			return
 		}
 	}

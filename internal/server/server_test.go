@@ -168,6 +168,17 @@ func TestProtocolErrors(t *testing.T) {
 	})
 }
 
+// TestOverlongLineRefused: a line past the 1 MiB statement cap gets
+// an ERR reply before the server drops the connection, not a bare
+// reset.
+func TestOverlongLineRefused(t *testing.T) {
+	c := startStack(t, false)
+	_, err := c.Do("SQL SELECT " + strings.Repeat("x", 2<<20))
+	if err == nil || !strings.Contains(err.Error(), "statement longer than 1 MiB") {
+		t.Fatalf("2 MiB line: err = %v, want the statement-size ERR", err)
+	}
+}
+
 // TestAsyncTrainAndFlush exercises the engine-only protocol: TRAINA
 // enqueues without waiting and FLUSH is the barrier after which the
 // write is visible (read-your-writes for async writers).

@@ -324,32 +324,6 @@ func (s *liveSource) ScanEps(lo, hi float64) (exec.Cursor, error) {
 	return &coreCursor{c: c}, nil
 }
 
-// Stripes exposes the live view's partition count so the planner can
-// lower eps scans onto the scatter-gather merge operator; unstriped
-// layouts report 1 and keep the single-cursor plans. (Engined views
-// never reach here — a snapshot gathers its stripes inside ScanEps.)
-func (s *liveSource) Stripes() int {
-	if sv, ok := s.cv.view.(*core.StripedView); ok {
-		return sv.Stripes()
-	}
-	return 1
-}
-
-// ScanEpsStripe streams one stripe's share of an eps band.
-func (s *liveSource) ScanEpsStripe(i int, lo, hi float64) (exec.Cursor, error) {
-	sv, ok := s.cv.view.(*core.StripedView)
-	if !ok {
-		return nil, fmt.Errorf("hazy: view %q is not striped", s.cv.Name())
-	}
-	c, err := sv.ScanEpsStripe(i, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return &coreCursor{c: c}, nil
-}
-
-var _ exec.StripedSource = (*liveSource)(nil)
-
 // sliceCursor streams pre-built rows (the naive-layout fallback and
 // table scans, which buffer at open because the underlying heap scan
 // holds the table's read lock for its duration).

@@ -276,11 +276,10 @@ func TestConcurrentSQLScanVsEngineIngest(t *testing.T) {
 // TestBatchSizeEndToEnd replays the dialect through the Session
 // surface at batch sizes 1 and 7 and checks the rendered results are
 // identical to the default 1024 — the SQL answer must not depend on
-// where batch boundaries fall, live or engined.
+// where batch boundaries fall, live or engined, unstriped or over a
+// 4-stripe view whose cursor merges its stripes.
 func TestBatchSizeEndToEnd(t *testing.T) {
 	defer exec.SetBatchSize(exec.BatchSize())
-	s := newSession(t)
-	buildQueryFixture(t, s, "qv", "HAZY", 12)
 	stmts := []string{
 		"SELECT id, class, eps FROM qv",
 		"SELECT id, eps FROM qv WHERE eps >= -0.5 AND eps <= 0.5",
@@ -291,21 +290,25 @@ func TestBatchSizeEndToEnd(t *testing.T) {
 		"SELECT id FROM qv ORDER BY id DESC LIMIT 3",
 		"SELECT COUNT(*) FROM qp",
 	}
-	for _, engined := range []bool{false, true} {
-		if engined {
-			mustExec(t, s, "ATTACH ENGINE TO qv")
-		}
-		exec.SetBatchSize(1024)
-		want := map[string][][]string{}
-		for _, q := range stmts {
-			want[q] = mustExec(t, s, q).Rows
-		}
-		for _, size := range []int{1, 7} {
-			exec.SetBatchSize(size)
+	for _, strategy := range []string{"HAZY", "HAZY PARTITIONS 4"} {
+		s := newSession(t)
+		buildQueryFixture(t, s, "qv", strategy, 12)
+		for _, engined := range []bool{false, true} {
+			if engined {
+				mustExec(t, s, "ATTACH ENGINE TO qv")
+			}
+			exec.SetBatchSize(1024)
+			want := map[string][][]string{}
 			for _, q := range stmts {
-				got := mustExec(t, s, q).Rows
-				if !reflect.DeepEqual(got, want[q]) {
-					t.Errorf("engined=%v batch=%d %s:\nrows %v\nwant %v", engined, size, q, got, want[q])
+				want[q] = mustExec(t, s, q).Rows
+			}
+			for _, size := range []int{1, 7} {
+				exec.SetBatchSize(size)
+				for _, q := range stmts {
+					got := mustExec(t, s, q).Rows
+					if !reflect.DeepEqual(got, want[q]) {
+						t.Errorf("%s engined=%v batch=%d %s:\nrows %v\nwant %v", strategy, engined, size, q, got, want[q])
+					}
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func buildStripedFixture(t *testing.T, s *Session, n int) {
 // TestStripedViewViaSQL cross-checks the striped layout against its
 // unstriped twin through the SQL surface: identical labels, members,
 // counts, and eps-band results for the same workload, with the
-// merge-scan plan visible in EXPLAIN — live and engined.
+// single-leaf eps-range plan pinned in EXPLAIN — live and engined.
 func TestStripedViewViaSQL(t *testing.T) {
 	s := newSession(t)
 	buildStripedFixture(t, s, 16)
@@ -78,10 +78,11 @@ func TestStripedViewViaSQL(t *testing.T) {
 		same(q)
 	}
 
-	// The live striped plan is the scatter-gather merge.
+	// The live striped plan is one eps-range leaf: the view gathers
+	// its stripes inside the cursor, as a snapshot does.
 	r := mustExec(t, s, "EXPLAIN SELECT id FROM banded WHERE eps >= -1.0 AND eps <= 1.0")
 	plan := fmt.Sprint(r.Rows)
-	if !strings.Contains(plan, "EpsMergeScan(banded, live") || !strings.Contains(plan, "stripes=4") {
+	if !strings.Contains(plan, "EpsRange(banded, live") {
 		t.Fatalf("live striped plan = %s", plan)
 	}
 
@@ -139,7 +140,7 @@ func TestStripedRequiresHazy(t *testing.T) {
 
 // TestStripedDiskHybridViaSQL cross-checks the disk-resident striped
 // layouts against the unstriped main-memory twin through the SQL
-// surface, pins the scatter-gather plan, and reopens the database to
+// surface, pins the live eps-range plan, and reopens the database to
 // prove the striped on-disk declaration (stripe subdirectories and
 // all) rides the manifest.
 func TestStripedDiskHybridViaSQL(t *testing.T) {
@@ -193,7 +194,7 @@ func TestStripedDiskHybridViaSQL(t *testing.T) {
 				same(q)
 			}
 			plan := fmt.Sprint(mustExec(t, s, "EXPLAIN SELECT id FROM banded WHERE eps >= -1.0 AND eps <= 1.0").Rows)
-			if !strings.Contains(plan, "EpsMergeScan(banded, live") || !strings.Contains(plan, "stripes=3") {
+			if !strings.Contains(plan, "EpsRange(banded, live") {
 				t.Fatalf("live striped %s plan = %s", arch, plan)
 			}
 

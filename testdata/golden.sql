@@ -101,9 +101,10 @@ SELECT COUNT(*) FROM papers;
 
 -- Partition-striped maintenance: PARTITIONS hash-partitions the view
 -- into stripes with per-stripe clustering, watermarks, and Skiing
--- over one shared model. Contents match an unstriped view, and
--- EXPLAIN shows the scatter-gather merge over the live layout, and a
--- single-cursor snapshot plan once an engine is attached.
+-- over one shared model. Contents match an unstriped view. The view
+-- gathers its stripes in (eps, id) order inside one cursor, so EXPLAIN
+-- shows the same single-leaf plans live and, once an engine is
+-- attached, over the snapshot.
 CREATE TABLE items (id BIGINT, body TEXT) KEY id;
 CREATE TABLE marks (id BIGINT, label BIGINT) KEY id;
 INSERT INTO items VALUES
@@ -124,8 +125,8 @@ SELECT COUNT(*) FROM striped WHERE class = 1;
 SELECT COUNT(*) FROM striped WHERE eps >= -100.0 AND eps <= 100.0;
 EXPLAIN SELECT id FROM striped WHERE eps >= -0.75 AND eps <= 0.75;
 EXPLAIN SELECT id, class FROM striped;
--- The fifth EXPLAIN ANALYZE shape: a scatter-gather merge over the
--- live striped layout (engined snapshots below merge inside one cursor).
+-- EXPLAIN ANALYZE over the live striped layout: one eps-range leaf
+-- whose cursor merges the stripes.
 EXPLAIN ANALYZE SELECT COUNT(*) FROM striped WHERE eps >= -100.0 AND eps <= 100.0;
 
 -- Engined, the published snapshot gathers its stripes inside one
