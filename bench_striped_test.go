@@ -6,7 +6,7 @@
 // re-eps + re-sort of all 50k entities) at 1 vs 4 stripes on the same
 // corpus; on a 4+-core runner the 4-stripe run should be ≥2× faster.
 // TestStripedReorgEmitJSON records the same measurement to the file
-// named by BENCH_JSON_OUT (CI writes BENCH_pr5.json) so the perf
+// named by BENCH_JSON_OUT (CI writes BENCH_pr6.json) so the perf
 // trajectory is machine-readable from here on.
 package hazy
 
@@ -100,7 +100,7 @@ func BenchmarkStripedReorg(b *testing.B) {
 // TestStripedReorgEmitJSON re-runs the 1- vs 4-stripe measurement via
 // testing.Benchmark and writes it as one JSON object to the path in
 // BENCH_JSON_OUT. Skipped unless the env var is set (CI's bench smoke
-// job sets it to BENCH_pr5.json).
+// job sets it to BENCH_pr6.json).
 func TestStripedReorgEmitJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON_OUT")
 	if out == "" {

@@ -222,7 +222,7 @@ func assertViewConsistent(t *testing.T, db *root.DB, name, desc string) {
 	ents, _ := recoveredState(t, db)
 	wantMembers := map[int64]bool{}
 	for id := range ents {
-		lbl, err := v.Label(id)
+		lbl, err := v.Core().Label(id)
 		if err != nil {
 			t.Fatalf("%s: Label(%d): %v", desc, id, err)
 		}
@@ -233,7 +233,7 @@ func assertViewConsistent(t *testing.T, db *root.DB, name, desc string) {
 			wantMembers[id] = true
 		}
 	}
-	members, err := v.Members()
+	members, err := v.Core().Members()
 	if err != nil {
 		t.Fatalf("%s: Members: %v", desc, err)
 	}
@@ -245,7 +245,7 @@ func assertViewConsistent(t *testing.T, db *root.DB, name, desc string) {
 			t.Fatalf("%s: member %d not labeled +1", desc, id)
 		}
 	}
-	if n, err := v.CountMembers(); err != nil || n != len(members) {
+	if n, err := v.Core().CountMembers(); err != nil || n != len(members) {
 		t.Fatalf("%s: CountMembers = %d, %v (want %d)", desc, n, err, len(members))
 	}
 	// ε-index vs full rescan: the clustered layout must hold exactly
@@ -272,7 +272,7 @@ func assertViewConsistent(t *testing.T, db *root.DB, name, desc string) {
 			if _, there := ents[e.ID]; !there {
 				t.Fatalf("%s: eps index has phantom id %d", desc, e.ID)
 			}
-			lbl, _ := v.Label(e.ID)
+			lbl, _ := v.Core().Label(e.ID)
 			if int(e.Label) != lbl {
 				t.Fatalf("%s: eps index label %d for id %d, point read %d", desc, e.Label, e.ID, lbl)
 			}
@@ -307,7 +307,7 @@ func assertViewConsistent(t *testing.T, db *root.DB, name, desc string) {
 					t.Fatalf("%s: id %d in stripes %d and %d", desc, e.ID, prev, i)
 				}
 				owner[e.ID] = i
-				lbl, _ := v.Label(e.ID)
+				lbl, _ := v.Core().Label(e.ID)
 				if int(e.Label) != lbl {
 					t.Fatalf("%s: stripe %d label %d for id %d, point read %d", desc, i, e.Label, e.ID, lbl)
 				}
@@ -552,19 +552,23 @@ func TestCheckpointDuringConcurrentReadsAndIngest(t *testing.T) {
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		ws := db.NewSession()
+		ws, err := db.NewSession().Bind("lv")
+		if err != nil {
+			fail <- err
+			return
+		}
 		for i := int64(0); i < newEntities; i++ {
 			id := 100 + i
-			if err := ws.AddAsync("lv", id, crashTitle(id)); err != nil {
+			if err := ws.AddAsync(id, crashTitle(id)); err != nil {
 				fail <- fmt.Errorf("add: %w", err)
 				return
 			}
-			if err := ws.TrainAsync("lv", id, 1-2*int(id%2)); err != nil {
+			if err := ws.TrainAsync(id, 1-2*int(id%2)); err != nil {
 				fail <- fmt.Errorf("train: %w", err)
 				return
 			}
 		}
-		if err := ws.Flush("lv"); err != nil {
+		if err := ws.Flush(); err != nil {
 			fail <- fmt.Errorf("flush: %w", err)
 		}
 	}()

@@ -2,9 +2,10 @@
 // declare tables and a classification view in SQL, feed user
 // feedback with plain INSERTs, query the view with SELECT, and
 // attach a concurrent maintenance engine to it, all through the same
-// front door the hazyql REPL and the hazyd server use. The Go-level
-// handles (DB.View, ClassView.Label, …) interoperate with the SQL
-// surface throughout.
+// front door the hazyql REPL and the hazyd server use. Go callers
+// read through Session.Bind (BoundView.Label, …), the same binding
+// the SQL planner and the wire verbs use; DB.View's ClassView handle
+// exposes the view's definition and maintenance counters.
 package main
 
 import (

@@ -77,7 +77,6 @@ import (
 	"hazy/internal/replica"
 	"hazy/internal/sched"
 	"hazy/internal/storage"
-	"hazy/internal/vector"
 	"hazy/internal/wal"
 )
 
@@ -972,57 +971,6 @@ func (v *ClassView) Name() string { return v.name }
 // "ridge") — the USING clause, or the automatic selection's choice.
 func (v *ClassView) Method() string { return v.method }
 
-// Label answers a Single Entity read: the current class of entity id.
-func (v *ClassView) Label(id int64) (int, error) {
-	if s := v.pub.Load(); s != nil {
-		return s.Label(id)
-	}
-	return v.view.Label(id)
-}
-
-// Members answers an All Members read: ids currently labeled +1.
-func (v *ClassView) Members() ([]int64, error) {
-	if s := v.pub.Load(); s != nil {
-		return s.Members(), nil
-	}
-	return v.view.Members()
-}
-
-// CountMembers counts the entities currently labeled +1.
-func (v *ClassView) CountMembers() (int, error) {
-	if s := v.pub.Load(); s != nil {
-		return s.CountMembers(), nil
-	}
-	return v.view.CountMembers()
-}
-
-// Classify scores free text against the view's current model without
-// storing anything (ad-hoc prediction). A view whose model has never
-// been trained returns an error — a zero model would label every text
-// +1.
-func (v *ClassView) Classify(text string) (int, error) {
-	m := v.view.Model()
-	if m == nil || !m.Trained() {
-		return 0, fmt.Errorf("hazy: view %q is untrained (no training examples yet)", v.name)
-	}
-	return m.Predict(v.ff.ComputeFeature(text)), nil
-}
-
-// Eps returns the entity's stored eps — its signed distance to the
-// decision boundary under the model of the last reorganization, the
-// quantity the Hazy strategy clusters on. It is the SQL surface's
-// `eps` column; views built with the naive strategy keep no eps and
-// return an error.
-func (v *ClassView) Eps(id int64) (float64, error) {
-	if s := v.pub.Load(); s != nil && s.Clustered() {
-		return s.EpsOf(id)
-	}
-	if ei, ok := v.view.(core.EpsIndexed); ok && ei.Clustered() {
-		return ei.EpsOf(id)
-	}
-	return 0, fmt.Errorf("hazy: view %q has no eps clustering (naive strategy)", v.name)
-}
-
 // Stats exposes maintenance counters.
 func (v *ClassView) Stats() Stats { return v.view.Stats() }
 
@@ -1143,13 +1091,6 @@ func (db *DB) EnginedViews() []string {
 	return sortedKeys(db.engines)
 }
 
-// Engine attaches a maintenance engine to v. It is the historical
-// form of AttachEngine and is kept for compatibility; the engine is
-// registered in the DB's engine registry either way.
-func (db *DB) Engine(v *ClassView, opts engine.Options) (*engine.Engine, error) {
-	return db.AttachEngine(v.name, opts)
-}
-
 // engineForEntities returns the engine managing a view over t, if any.
 func (db *DB) engineForEntities(t *EntityTable) *engine.Engine {
 	db.mu.RLock()
@@ -1175,9 +1116,7 @@ func (db *DB) engineForExamples(t *ExampleTable) *engine.Engine {
 }
 
 // viewBackend adapts a ClassView and its tables to engine.Backend.
-// All mutating methods run on the engine's single maintenance
-// goroutine; Feature is called concurrently from the read path and
-// relies on the feature functions' internal synchronization.
+// Every method runs on the engine's single maintenance goroutine.
 type viewBackend struct {
 	db *DB
 	cv *ClassView
@@ -1280,10 +1219,6 @@ func (b *viewBackend) Commit() error {
 
 func (b *viewBackend) Snapshot() (*core.Snapshot, error) {
 	return b.cv.view.(core.Snapshotter).Snapshot()
-}
-
-func (b *viewBackend) Feature(text string) vector.Vector {
-	return b.cv.ff.ComputeFeature(text)
 }
 
 // Detach is called by Engine.Close after the final drain: the view's

@@ -96,7 +96,7 @@ func TestEndToEndClassification(t *testing.T) {
 			}
 			correct, total := 0, 0
 			for id, isDB := range truth {
-				got, err := v.Label(id)
+				got, err := v.Core().Label(id)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,11 +112,11 @@ func TestEndToEndClassification(t *testing.T) {
 			if acc := float64(correct) / float64(total); acc < 0.9 {
 				t.Fatalf("%s: accuracy %.3f", name, acc)
 			}
-			members, err := v.Members()
+			members, err := v.Core().Members()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cnt, err := v.CountMembers()
+			cnt, err := v.Core().CountMembers()
 			if err != nil || cnt != len(members) {
 				t.Fatalf("count %d vs members %d (%v)", cnt, len(members), err)
 			}
@@ -125,9 +125,7 @@ func TestEndToEndClassification(t *testing.T) {
 }
 
 func TestNewEntityTrigger(t *testing.T) {
-	_, v, examples, truth := buildDB(t, MainMemory, Hazy, Eager)
-	db2, err := v, error(nil)
-	_ = db2
+	db, v, examples, truth := buildDB(t, MainMemory, Hazy, Eager)
 	// Train on the first half of the ids in deterministic order (map
 	// iteration order would vary the training set run to run and can
 	// flip the ad-hoc classifications below).
@@ -136,20 +134,18 @@ func TestNewEntityTrigger(t *testing.T) {
 		if truth[id] {
 			label = 1
 		}
-		if err = examples.InsertExample(id, label); err != nil {
+		if err := examples.InsertExample(id, label); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A new paper arriving after training is classified on insert.
-	dbx, err := v, error(nil)
-	_ = dbx
-	// Reach the entity table through the view's database.
-	// (buildDB returns the tables directly in other tests; here we
-	// re-open via the facade.)
-	if got, err := v.Classify("sql query optimizer with index join"); err != nil || got != 1 {
+	bv, err := db.NewSession().Bind(v.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bv.Classify("sql query optimizer with index join"); err != nil || got != 1 {
 		t.Fatalf("ad-hoc classify: %d, %v", got, err)
 	}
-	if got, err := v.Classify("kernel interrupt scheduler paging"); err != nil || got != -1 {
+	if got, err := bv.Classify("kernel interrupt scheduler paging"); err != nil || got != -1 {
 		t.Fatalf("ad-hoc classify: %d, %v", got, err)
 	}
 }
@@ -185,7 +181,7 @@ func TestEntityInsertTriggerClassifies(t *testing.T) {
 	if err := papers.InsertText(500, "relational query optimizer join index sql"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Label(500)
+	got, err := v.Core().Label(500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +257,7 @@ func TestCustomFeatureFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.CountMembers(); err != nil {
+	if _, err := v.Core().CountMembers(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -273,11 +269,11 @@ func TestCustomFeatureFunction(t *testing.T) {
 // allows a fresh attach.
 func TestEngineAttachDetach(t *testing.T) {
 	db, v, examples, _ := buildDB(t, core.MainMemory, core.HazyStrategy, core.Eager)
-	eng, err := db.Engine(v, EngineOptions{})
+	eng, err := db.AttachEngine(v.Name(), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Engine(v, EngineOptions{}); err == nil {
+	if _, err := db.AttachEngine(v.Name(), EngineOptions{}); err == nil {
 		t.Fatal("second attach while an engine is active succeeded")
 	}
 	if got := db.AttachedEngine("labeled_papers"); got != eng {
@@ -291,7 +287,7 @@ func TestEngineAttachDetach(t *testing.T) {
 	if err := examples.InsertExample(1, -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.ViewStats().Updates; got != 2 {
+	if got := eng.Snapshot().Stats().Updates; got != 2 {
 		t.Fatalf("updates while managed = %d, want 2 (engine-routed insert)", got)
 	}
 	// Deletes and relabels have no engine op and are rejected.
@@ -315,7 +311,7 @@ func TestEngineAttachDetach(t *testing.T) {
 		t.Fatalf("updates after detach = %d, want 3 (trigger resumed)", got)
 	}
 	// ...and a new engine can attach and serve.
-	eng2, err := db.Engine(v, EngineOptions{})
+	eng2, err := db.AttachEngine(v.Name(), EngineOptions{})
 	if err != nil {
 		t.Fatalf("re-attach after Close: %v", err)
 	}
@@ -323,7 +319,7 @@ func TestEngineAttachDetach(t *testing.T) {
 	if err := eng2.Train(3, -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng2.ViewStats().Updates; got != 4 {
+	if got := eng2.Snapshot().Stats().Updates; got != 4 {
 		t.Fatalf("updates after re-attach = %d, want 4", got)
 	}
 }

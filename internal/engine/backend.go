@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"hazy/internal/core"
-	"hazy/internal/vector"
-)
+import "hazy/internal/core"
 
 // TrainOp is one queued training example, addressed by entity id —
 // the engine-side form of an INSERT into the examples table.
@@ -15,9 +12,7 @@ type TrainOp struct {
 // Backend adapts a concrete view and its backing tables to the
 // engine. All Backend methods are invoked only from the engine's
 // single maintenance goroutine, so implementations need no internal
-// locking for the view they mutate — except Feature, which is called
-// concurrently from the read path and must be safe for concurrent
-// use.
+// locking for the view they mutate.
 type Backend interface {
 	// ApplyTrainBatch durably inserts the examples and folds them
 	// into the model with one group-applied maintenance step (one
@@ -34,9 +29,6 @@ type Backend interface {
 	ApplyAddBatch(ops []AddOp) []error
 	// Snapshot exports an immutable read snapshot of the view.
 	Snapshot() (*core.Snapshot, error)
-	// Feature featurizes free text for ad-hoc classification against
-	// a snapshot's model. Must be safe for concurrent use.
-	Feature(text string) vector.Vector
 }
 
 // AddOp is one queued entity insert — the engine-side form of an

@@ -100,11 +100,6 @@ func (b *memBackend) ApplyAddBatch(ops []AddOp) []error {
 
 func (b *memBackend) Snapshot() (*core.Snapshot, error) { return b.view.Snapshot() }
 
-func (b *memBackend) Feature(text string) vector.Vector {
-	f, _ := featFor(text)
-	return f
-}
-
 func start(t *testing.T, be Backend, opts Options) *Engine {
 	t.Helper()
 	e, err := New(be, opts)
@@ -122,23 +117,23 @@ func TestReadYourWritesSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := e.Label(1); err != nil || got != 1 {
+	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) = %d, %v", got, err)
 	}
-	if got, err := e.Label(2); err != nil || got != -1 {
+	if got, err := e.Snapshot().Label(2); err != nil || got != -1 {
 		t.Fatalf("Label(2) = %d, %v", got, err)
 	}
-	if n, _ := e.CountMembers(); n != 2 {
+	if n := e.Snapshot().CountMembers(); n != 2 {
 		t.Fatalf("CountMembers = %d, want 2", n)
 	}
-	if got, err := e.Classify("pos"); err != nil || got != 1 {
-		t.Fatalf("Classify(pos) = %d, %v", got, err)
+	if got := predict(e, "pos"); got != 1 {
+		t.Fatalf("predict(pos) = %d", got)
 	}
 	// A synchronous Add is immediately readable too.
 	if err := e.Add(9, "pos"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Label(9); err != nil || got != 1 {
+	if got, err := e.Snapshot().Label(9); err != nil || got != 1 {
 		t.Fatalf("Label(9) = %d, %v", got, err)
 	}
 }
@@ -170,10 +165,10 @@ func TestAsyncVisibleAfterFlush(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Label(1); err != nil || got != 1 {
+	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) after flush = %d, %v", got, err)
 	}
-	if st := e.ViewStats(); st.Updates != 2 {
+	if st := e.Snapshot().Stats(); st.Updates != 2 {
 		t.Fatalf("view updates = %d, want 2", st.Updates)
 	}
 }
@@ -348,7 +343,7 @@ func TestOrderPreservedAcrossKinds(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Label(20); err != nil || got != -1 {
+	if got, err := e.Snapshot().Label(20); err != nil || got != -1 {
 		t.Fatalf("Label(20) = %d, %v", got, err)
 	}
 }
@@ -369,7 +364,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads still work against the final snapshot and saw the drain.
-	if st := e.ViewStats(); st.Updates != 8 {
+	if st := e.Snapshot().Stats(); st.Updates != 8 {
 		t.Fatalf("updates after close = %d, want 8", st.Updates)
 	}
 	if err := e.Train(1, 1); err != ErrClosed {
@@ -409,9 +404,9 @@ func TestConcurrentMix(t *testing.T) {
 				case 1:
 					err = e.TrainAsync(id, label)
 				case 2:
-					_, err = e.Label(id)
+					_, err = e.Snapshot().Label(id)
 				default:
-					_, err = e.CountMembers()
+					e.Snapshot().CountMembers()
 					e.Snapshot().Members()
 				}
 				if err != nil {
@@ -440,24 +435,30 @@ func TestConcurrentMix(t *testing.T) {
 	}
 }
 
+// predict scores text against the published snapshot's model.
+func predict(e *Engine, text string) int {
+	f, _ := featFor(text)
+	return e.Snapshot().Model().Predict(f)
+}
+
 // TestClassifyUntrainedView: a freshly attached, never-trained view
-// must answer Classify with an explicit untrained error — not a
-// zero-model "+1", and never a panic inside a serving goroutine —
+// publishes a snapshot whose model says it is untrained — so the
+// classify surface can refuse instead of serving a zero-model "+1" —
 // while Label keeps answering from the snapshot.
 func TestClassifyUntrainedView(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
-	if _, err := e.Classify("pos"); err != ErrUntrained {
-		t.Fatalf("Classify on untrained view: err = %v, want ErrUntrained", err)
+	if m := e.Snapshot().Model(); m == nil || m.Trained() {
+		t.Fatalf("untrained view published model %v, want a present, untrained one", m)
 	}
-	if _, err := e.Label(1); err != nil {
+	if _, err := e.Snapshot().Label(1); err != nil {
 		t.Fatalf("Label on untrained view: %v", err)
 	}
-	// One training example and the same call serves.
+	// One training example and the published model serves.
 	if err := e.Train(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Classify("pos"); err != nil || got != 1 {
-		t.Fatalf("Classify after train = %d, %v", got, err)
+	if !e.Snapshot().Model().Trained() || predict(e, "pos") != 1 {
+		t.Fatal("after one train the published model must be trained and predict pos = +1")
 	}
 }
 
@@ -500,11 +501,11 @@ func TestAddBatchFolding(t *testing.T) {
 	}
 	// The good adds all landed and are readable.
 	for id := int64(10); id <= 14; id++ {
-		if _, err := e.Label(id); err != nil {
+		if _, err := e.Snapshot().Label(id); err != nil {
 			t.Fatalf("Label(%d): %v", id, err)
 		}
 	}
-	if _, err := e.Label(15); err == nil {
+	if _, err := e.Snapshot().Label(15); err == nil {
 		t.Fatal("the failed add must not be visible")
 	}
 }

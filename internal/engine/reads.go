@@ -1,17 +1,10 @@
 package engine
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"hazy/internal/core"
 )
-
-// ErrUntrained is returned by Classify when the published snapshot's
-// model has never been trained: a zero model labels everything +1,
-// which would be served as if it meant something. The serving
-// goroutine must never panic on a missing model either way.
-var ErrUntrained = errors.New("engine: view is untrained (no training examples yet)")
 
 // snapHolder is the atomically swapped published snapshot plus its
 // version counter. Readers only ever load; the maintenance goroutine
@@ -30,36 +23,3 @@ func (e *Engine) publish(s *core.Snapshot) {
 // and is safe to read from any goroutine; retain it to answer several
 // questions from one consistent state.
 func (e *Engine) Snapshot() *core.Snapshot { return e.snap.p.Load() }
-
-// Label answers a Single Entity read from the published snapshot,
-// without locks.
-func (e *Engine) Label(id int64) (int, error) { return e.Snapshot().Label(id) }
-
-// Members answers an All Members read from the published snapshot.
-func (e *Engine) Members() ([]int64, error) { return e.Snapshot().Members(), nil }
-
-// CountMembers counts the entities labeled +1 in the published
-// snapshot.
-func (e *Engine) CountMembers() (int, error) { return e.Snapshot().CountMembers(), nil }
-
-// MostUncertain returns up to k ids nearest the decision boundary in
-// the published snapshot (active-learning picks).
-func (e *Engine) MostUncertain(k int) ([]int64, error) {
-	return e.Snapshot().MostUncertain(k)
-}
-
-// Classify scores free text against the published snapshot's model
-// without storing anything. A snapshot whose model is absent or has
-// never seen a training example returns ErrUntrained instead of a
-// meaningless +1 (or a nil-model panic inside a serving goroutine).
-func (e *Engine) Classify(text string) (int, error) {
-	m := e.Snapshot().Model()
-	if m == nil || !m.Trained() {
-		return 0, ErrUntrained
-	}
-	return m.Predict(e.be.Feature(text)), nil
-}
-
-// ViewStats returns the view's maintenance counters as captured in
-// the published snapshot.
-func (e *Engine) ViewStats() core.Stats { return e.Snapshot().Stats() }

@@ -158,7 +158,7 @@ func TestMaintenancePanicFailsBatchNotProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := e.Label(1); err != nil || got != 1 {
+	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) after recovery = %d, %v", got, err)
 	}
 	if err := e.Close(); err != nil {

@@ -186,58 +186,79 @@ func (db *DB) replayMutation(payload []byte) error {
 		}
 		return db.replayMutation(inner)
 	}
-	db.catMu.RLock()
-	t, ok := db.tables[name]
-	db.catMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("relation: wal replay references unknown table %q", name)
+	t, err := db.Table(name)
+	if err != nil {
+		return fmt.Errorf("relation: wal replay: %w", err)
 	}
+	// Recovery runs before any trigger is installed (views are rebuilt
+	// from the recovered tables), so the trigger a redo owes is dropped.
+	_, err = t.redo(op, body)
+	return err
+}
+
+// redo applies one logged mutation to the heap and primary-key index,
+// bypassing the log. It is idempotent — an insert whose key is present
+// or a delete whose key is absent already took effect — and returns
+// the trigger invocation the mutation owes (nil when it had already
+// taken effect), for the caller to run after the locks drop. Crash
+// recovery and a replica's ApplyShipped share it.
+func (t *Table) redo(op byte, body []byte) (fire func() error, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	switch op {
 	case walInsert, walUpdate:
 		tup, err := DecodeTuple(t.schema, body)
 		if err != nil {
-			return fmt.Errorf("relation: wal replay %q: %w", name, err)
+			return nil, fmt.Errorf("relation: redo %q: %w", t.name, err)
 		}
 		key := tup.Key(t.schema)
 		rid, exists := t.pk[key]
 		if op == walInsert {
 			if exists {
-				return nil // the flushed pages got there first
+				return nil, nil // already applied, trigger included
 			}
 			nrid, err := t.heap.Insert(body)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			t.pk[key] = nrid
-			return nil
+			return func() error { return t.fire(AfterInsert, nil, tup) }, nil
 		}
 		if !exists {
 			// An update's insert always precedes it in the log; if the
 			// key is absent the record would redo against nothing.
-			return fmt.Errorf("relation: wal replay: update of missing key %d in %q", key, name)
+			return nil, fmt.Errorf("relation: redo: update of missing key %d in %q", key, t.name)
+		}
+		prev, err := t.rowAt(rid)
+		if err != nil {
+			return nil, err
 		}
 		nrid, err := t.heap.Update(rid, body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.pk[key] = nrid
-		return nil
+		return func() error { return t.fire(AfterUpdate, prev, tup) }, nil
 	case walDelete:
 		if len(body) != 8 {
-			return fmt.Errorf("relation: wal replay: delete body of %d bytes", len(body))
+			return nil, fmt.Errorf("relation: redo: delete body of %d bytes", len(body))
 		}
 		key := int64(binary.LittleEndian.Uint64(body))
 		rid, exists := t.pk[key]
 		if !exists {
-			return nil // already gone from the flushed pages
+			return nil, nil // already gone
+		}
+		prev, err := t.rowAt(rid)
+		if err != nil {
+			return nil, err
 		}
 		if err := t.heap.Delete(rid); err != nil {
-			return err
+			return nil, err
 		}
 		delete(t.pk, key)
-		return nil
+		return func() error { return t.fire(AfterDelete, prev, nil) }, nil
 	default:
-		return fmt.Errorf("relation: wal replay: unknown op %d", op)
+		return nil, fmt.Errorf("relation: redo: unknown op %d", op)
 	}
 }
 

@@ -110,8 +110,10 @@ func (db *DB) LastShipped() wal.Pos {
 // ApplyShipped applies one primary WAL record on a replica: the
 // record is journaled locally (wrapped with resume, the primary
 // position one past it), applied to the heap and primary-key index
-// with the usual idempotent-redo semantics, and its trigger is fired
-// — so view maintenance sees exactly the primary's mutation order.
+// through Table.redo — the idempotent redo recovery uses — and its
+// trigger is fired, so view maintenance sees exactly the primary's
+// mutation order. A record at or below the resume cursor was already
+// applied and is skipped whole.
 // Catalog-metadata records carry no heap effect; their body is
 // returned for the caller to reconcile DDL against. The caller owns
 // the commit barrier (CommitLog once per applied batch) and must be
@@ -134,6 +136,11 @@ func (db *DB) ApplyShipped(resume wal.Pos, payload []byte) (meta []byte, err err
 		}
 	}
 	db.ckptMu.RLock()
+	if !db.shipped.Before(resume) {
+		// Re-delivered: its effect and trigger already ran here.
+		db.ckptMu.RUnlock()
+		return nil, nil
+	}
 	if db.log != nil {
 		if _, aerr := db.log.Append(encodeMutation(walShipped, "", encodeShipped(resume, payload))); aerr != nil {
 			db.ckptMu.RUnlock()
@@ -148,7 +155,10 @@ func (db *DB) ApplyShipped(resume wal.Pos, payload []byte) (meta []byte, err err
 	case walMeta:
 		meta = body
 	default:
-		fire, err = db.applyShippedMutation(op, name, body)
+		var t *Table
+		if t, err = db.Table(name); err == nil {
+			fire, err = t.redo(op, body)
+		}
 	}
 	db.ckptMu.RUnlock()
 	if err != nil {
@@ -159,82 +169,6 @@ func (db *DB) ApplyShipped(resume wal.Pos, payload []byte) (meta []byte, err err
 		err = fire()
 	}
 	return meta, err
-}
-
-// applyShippedMutation applies one decoded mutation to the heap and
-// index — replayMutation's idempotent semantics — and returns the
-// trigger invocation to run after the locks drop. Callers hold
-// ckptMu shared (the record is already journaled).
-func (db *DB) applyShippedMutation(op byte, name string, body []byte) (fire func() error, err error) {
-	db.catMu.RLock()
-	t, ok := db.tables[name]
-	db.catMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("relation: shipped record references unknown table %q", name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch op {
-	case walInsert, walUpdate:
-		tup, err := DecodeTuple(t.schema, body)
-		if err != nil {
-			return nil, fmt.Errorf("relation: shipped record for %q: %w", name, err)
-		}
-		key := tup.Key(t.schema)
-		rid, exists := t.pk[key]
-		if op == walInsert {
-			if exists {
-				return nil, nil // re-delivered; effect (and trigger) already ran
-			}
-			nrid, err := t.heap.Insert(body)
-			if err != nil {
-				return nil, err
-			}
-			t.pk[key] = nrid
-			return func() error { return t.fire(AfterInsert, nil, tup) }, nil
-		}
-		if !exists {
-			return nil, fmt.Errorf("relation: shipped update of missing key %d in %q", key, name)
-		}
-		oldRec, err := t.heap.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		old, err := DecodeTuple(t.schema, oldRec)
-		if err != nil {
-			return nil, err
-		}
-		nrid, err := t.heap.Update(rid, body)
-		if err != nil {
-			return nil, err
-		}
-		t.pk[key] = nrid
-		return func() error { return t.fire(AfterUpdate, old, tup) }, nil
-	case walDelete:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("relation: shipped delete body of %d bytes", len(body))
-		}
-		key := int64(binary.LittleEndian.Uint64(body))
-		rid, exists := t.pk[key]
-		if !exists {
-			return nil, nil // re-delivered
-		}
-		rec, err := t.heap.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		old, err := DecodeTuple(t.schema, rec)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.heap.Delete(rid); err != nil {
-			return nil, err
-		}
-		delete(t.pk, key)
-		return func() error { return t.fire(AfterDelete, old, nil) }, nil
-	default:
-		return nil, fmt.Errorf("relation: shipped record with unknown op %d", op)
-	}
 }
 
 // CheckpointImage produces a consistent bootstrap image for a fresh

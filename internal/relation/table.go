@@ -156,6 +156,11 @@ func (t *Table) Get(key int64) (Tuple, error) {
 	if !ok {
 		return nil, fmt.Errorf("relation: no key %d in %s", key, t.name)
 	}
+	return t.rowAt(rid)
+}
+
+// rowAt decodes the stored row at rid. Callers hold t.mu.
+func (t *Table) rowAt(rid storage.RID) (Tuple, error) {
 	rec, err := t.heap.Get(rid)
 	if err != nil {
 		return nil, err

@@ -33,13 +33,16 @@
 // Errors come back as "ERR <message>". A line longer than 1 MiB is
 // answered "ERR statement longer than 1 MiB" and the connection closes.
 //
-// Engine mode is per view, not per server: a view with a maintenance
+// Which state serves a view is decided per statement by
+// hazy.Session.Bind, not by the server: a view with a maintenance
 // engine attached (hazy.DB.AttachEngine, or the SQL statement ATTACH
-// ENGINE TO <view>) is served lock-free — reads from the engine's
-// published snapshot, writes through its batched queue — while
-// statements touching non-engined views and all SQL serialize behind
-// the server's statement mutex, one at a time, like the seed's
-// single-session server. TRAIN and ADD stay synchronous everywhere
+// ENGINE TO <view>) binds the engine's published snapshot, and a
+// replica's main-memory view binds the snapshot its applier
+// republishes. Verbs on such a binding run lock-free — reads from the
+// snapshot, engine writes through the batched queue — while verbs on
+// live views and SQL planning serialize behind the server's statement
+// mutex, one at a time, like the seed's single-session server. TRAIN
+// and ADD stay synchronous everywhere
 // (the response is sent after the write is applied and visible —
 // read-your-writes); TRAINA and ADDA only enqueue, and FLUSH is the
 // barrier that makes prior async writes visible. Async failures are
@@ -74,8 +77,8 @@ type Server struct {
 	db   *root.DB
 	opts Options
 
-	// stmtMu serializes SQL statements and verbs on non-engined
-	// views; engined-view traffic never takes it. It is the DB's own
+	// stmtMu serializes SQL statements and verbs on live views;
+	// verbs on snapshot bindings never take it. It is the DB's own
 	// statement lock — shared so a replica's log applier interleaves
 	// whole records with whole statements.
 	stmtMu *sync.Mutex
@@ -199,9 +202,9 @@ func refuseLine(conn net.Conn, w *bufio.Writer) {
 // Exec runs one protocol line against the server's shared session and
 // returns the response plus whether the session should end. It is
 // exported so tests and benchmarks can drive the statement layer
-// without a TCP transport; it is safe for concurrent use (engined
-// traffic is lock-free, everything else serializes on the statement
-// mutex).
+// without a TCP transport; it is safe for concurrent use (verbs on
+// snapshot bindings are lock-free, everything else serializes on the
+// statement mutex).
 func (s *Server) Exec(line string) (string, bool) {
 	var b strings.Builder
 	w := bufio.NewWriter(&b)
@@ -269,12 +272,12 @@ func (s *Server) serveLine(sess *root.Session, line string, w *bufio.Writer) (qu
 // to a json.Marshal of the equivalent Result.
 //
 // The statement mutex covers planning and every non-SELECT statement
-// (SQL can touch the catalog and non-engined views; inserts targeting
+// (SQL can touch the catalog and live views; inserts targeting
 // engined views still route through their engines inside), but NOT
 // the streaming: snapshot-bound and table plans read immutable or
 // internally locked state, so a client that reads its result slowly
 // cannot wedge other connections' statements behind the mutex. Plans
-// over live (non-engined) views do need the serialization, so they
+// over live views do need the serialization, so they
 // are drained under the mutex — the old materializing behavior —
 // and streamed from memory after it is released.
 func (s *Server) streamSQL(sess *root.Session, stmt string, w *bufio.Writer) error {
@@ -377,13 +380,14 @@ func isInt(s string) bool {
 	return err == nil
 }
 
-// execVerb answers one legacy verb. The view is bound exactly once
-// per statement: an engined binding runs lock-free and its
-// operations stay on the bound engine (a concurrent detach yields an
-// explicit engine-closed error, never an unsynchronized fall-through
-// to the live view); otherwise the statement mutex is taken and the
-// view re-bound under it, so a concurrent attach is either fully
-// observed or fully not.
+// execVerb answers one legacy verb. The view is bound once per
+// statement: a snapshot binding (an engined view, or any view a
+// replica republishes) runs lock-free, its reads answer from the
+// bound snapshot and its writes stay on the bound engine (a
+// concurrent detach yields an explicit engine-closed error, never an
+// unsynchronized fall-through to the live view); a live binding takes
+// the statement mutex and re-binds under it, so a concurrent attach
+// is either fully observed or fully not.
 func (s *Server) execVerb(sess *root.Session, cmd string, args []string) string {
 	var view string
 	var rest []string
@@ -434,11 +438,11 @@ func (s *Server) execVerb(sess *root.Session, cmd string, args []string) string 
 	}
 
 	bv, err := sess.Bind(view)
-	if err == nil && bv.Engined() {
+	if err == nil && !bv.Live() {
 		return s.applyVerb(bv, cmd, rest)
 	}
-	// Non-engined (or unresolvable — the error paths) serialize
-	// behind the statement mutex; re-bind under it.
+	// Live bindings (or unresolvable names — the error paths)
+	// serialize behind the statement mutex; re-bind under it.
 	s.stmtMu.Lock()
 	defer s.stmtMu.Unlock()
 	if bv, err = sess.Bind(view); err != nil {

@@ -59,7 +59,7 @@ func TestReopenRecoversTablesAndRebuildsView(t *testing.T) {
 		}
 		before = map[int64]int{}
 		for id := int64(0); id < 120; id++ {
-			l, err := view.Label(id)
+			l, err := view.Core().Label(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestReopenRecoversTablesAndRebuildsView(t *testing.T) {
 		t.Fatal("re-declaring the recovered view succeeded")
 	}
 	for id := int64(0); id < 120; id++ {
-		got, err := view.Label(id)
+		got, err := view.Core().Label(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestReopenRecoversTablesAndRebuildsView(t *testing.T) {
 	if err := papers.InsertText(500, "sql query optimizer relational database index"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := view.Label(500); err != nil {
+	if _, err := view.Core().Label(500); err != nil {
 		t.Fatal(err)
 	}
 	if err := feedback.InsertExample(500, 1); err != nil {
@@ -186,7 +186,7 @@ func TestReopenRecoversTableKindsFromManifest(t *testing.T) {
 	if err := votes.InsertExample(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Label(2); err != nil {
+	if _, err := v.Core().Label(2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -242,7 +242,7 @@ func TestDeleteExampleRetrains(t *testing.T) {
 	}
 	correct := 0
 	for id := int64(0); id < 60; id++ {
-		got, err := view.Label(id)
+		got, err := view.Core().Label(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +287,11 @@ func TestReopenReproducesBuild(t *testing.T) {
 			st.w = append(st.w, math.Float64bits(x))
 		}
 		for id := int64(0); id < entities; id++ {
-			eps, err := cv.Eps(id)
+			eps, err := cv.Core().(core.EpsIndexed).EpsOf(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := cv.Label(id)
+			l, err := cv.Core().Label(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -132,33 +132,24 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// sessionCatalog resolves FROM names for the planner. Each lookup
-// binds view and engine together (one lock acquisition), and an
-// engined view binds the engine's published snapshot — every operator
-// of the resulting plan then reads one immutable state, lock-free,
-// however long the result streams. Binding a live (unmanaged) view is
-// recorded so the result can say it needs serialization (Rows.Live).
+// sessionCatalog resolves FROM names for the planner through
+// Session.Bind, so a plan reads whatever state the binding chose — an
+// engine's or a replica's published snapshot, immutable and
+// lock-free however long the result streams, or the live structure.
+// Binding a live view is recorded so the result can say it needs
+// serialization (Rows.Live).
 type sessionCatalog struct {
 	s    *Session
 	live bool
 }
 
 func (c *sessionCatalog) View(name string) (exec.ViewSource, bool, error) {
-	cv, eng, err := c.s.db.viewAndEngine(name)
+	bv, err := c.s.Bind(name)
 	if err != nil {
 		return nil, false, nil // no such view; the planner tries tables
 	}
-	if eng != nil {
-		return &snapshotSource{name: name, snap: eng.Snapshot()}, true, nil
-	}
-	// On a replica, plans bind the published snapshot — the applier
-	// owns the live structure — so replica reads are lock-free and
-	// never block on (or observe half of) an applying batch.
-	if snap := cv.pub.Load(); snap != nil {
-		return &snapshotSource{name: name, snap: snap}, true, nil
-	}
-	c.live = true
-	return &liveSource{cv: cv}, true, nil
+	c.live = c.live || bv.Live()
+	return bv.src, true, nil
 }
 
 func (c *sessionCatalog) Table(name string) (exec.TableSource, bool, error) {
@@ -213,9 +204,10 @@ func (c *coreCursor) NextBatch(dst *exec.Batch) error {
 
 func (c *coreCursor) Close() { c.c.Close() }
 
-// snapshotSource serves an engined view's plan from one published
-// snapshot: immutable, so safe from any goroutine with no locks, and
-// consistent for the whole statement however long it streams.
+// snapshotSource serves a binding from one published snapshot (an
+// engine's or a replica's): immutable, so safe from any goroutine
+// with no locks, and consistent for the whole statement however long
+// it streams.
 type snapshotSource struct {
 	name string
 	snap *core.Snapshot
@@ -245,9 +237,9 @@ func (s *snapshotSource) ScanEps(lo, hi float64) (exec.Cursor, error) {
 	return &coreCursor{c: c}, nil
 }
 
-// liveSource serves an unmanaged view's plan from the live structure.
-// Like every non-engined read it relies on the caller's serialization
-// (the server's statement mutex, or single-threaded embedded use).
+// liveSource serves an unmanaged view from the live structure. It
+// relies on the caller's serialization (the server's statement mutex,
+// or single-threaded embedded use).
 type liveSource struct {
 	cv *ClassView
 }
@@ -265,13 +257,28 @@ func (s *liveSource) Clustered() bool {
 	return ok
 }
 
-func (s *liveSource) Label(id int64) (int, error)   { return s.cv.Label(id) }
-func (s *liveSource) Eps(id int64) (float64, error) { return s.cv.Eps(id) }
-func (s *liveSource) Members() ([]int64, error)     { return s.cv.Members() }
-func (s *liveSource) CountMembers() (int, error)    { return s.cv.CountMembers() }
+func (s *liveSource) Label(id int64) (int, error) { return s.cv.view.Label(id) }
+func (s *liveSource) Members() ([]int64, error)   { return s.cv.view.Members() }
+func (s *liveSource) CountMembers() (int, error)  { return s.cv.view.CountMembers() }
+
+// Eps returns the entity's stored eps — its signed distance to the
+// decision boundary under the model of the last reorganization, the
+// SQL surface's `eps` column. Naive views keep none.
+func (s *liveSource) Eps(id int64) (float64, error) {
+	if ei, ok := s.epsIndex(); ok {
+		return ei.EpsOf(id)
+	}
+	return 0, fmt.Errorf("hazy: view %q has no eps clustering (naive strategy)", s.cv.Name())
+}
+
+// uncertain is implemented by live views that can surface
+// active-learning candidates.
+type uncertain interface {
+	MostUncertain(k int) ([]int64, error)
+}
 
 func (s *liveSource) MostUncertain(k int) ([]int64, error) {
-	u, ok := s.cv.Core().(Uncertain)
+	u, ok := s.cv.view.(uncertain)
 	if !ok {
 		return nil, fmt.Errorf("hazy: view %q does not support uncertainty ranking", s.cv.Name())
 	}
@@ -289,7 +296,7 @@ func (s *liveSource) Scan() (exec.Cursor, error) {
 	// Naive layouts keep no eps clustering to stream from; fall back
 	// to the members set joined against the entity table — the
 	// pre-executor full-scan path — materialized at open.
-	ids, err := s.cv.Members()
+	ids, err := s.cv.view.Members()
 	if err != nil {
 		return nil, err
 	}

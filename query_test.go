@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"hazy/internal/core"
 	"hazy/internal/exec"
 )
 
@@ -54,7 +55,7 @@ func TestEpsColumnAndOrderedReads(t *testing.T) {
 
 		// eps point read matches ClassView.Eps.
 		r := mustExec(t, s, "SELECT eps FROM qv WHERE id = 7")
-		eps, err := cv.Eps(7)
+		eps, err := cv.Core().(core.EpsIndexed).EpsOf(7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestEpsColumnAndOrderedReads(t *testing.T) {
 
 		// ORDER BY ABS(eps) LIMIT k is the UNCERTAIN verb.
 		r = mustExec(t, s, "SELECT id FROM qv ORDER BY ABS(eps) LIMIT 5")
-		ids, err := s.MostUncertain("qv", 5)
+		ids, err := mustBind(t, s, "qv").MostUncertain(5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,24 +212,28 @@ func TestConcurrentSQLScanVsEngineIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ws := db.NewSession()
+			ws, err := db.NewSession().Bind("cv")
+			if err != nil {
+				errs <- err
+				return
+			}
 			r := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < per; i++ {
 				id := int64(1000 + w*per + i)
-				if err := ws.AddAsync("cv", id, title(r, id%2 == 0)); err != nil {
+				if err := ws.AddAsync(id, title(r, id%2 == 0)); err != nil {
 					errs <- err
 					return
 				}
 				// Examples are keyed by entity id: each writer trains a
 				// disjoint slice of the warm corpus, once per id.
 				if tid := int64(12 + w*24 + i); i < 24 {
-					if err := ws.TrainAsync("cv", tid, 1-2*int(tid%2)); err != nil {
+					if err := ws.TrainAsync(tid, 1-2*int(tid%2)); err != nil {
 						errs <- err
 						return
 					}
 				}
 			}
-			errs <- ws.Flush("cv")
+			errs <- ws.Flush()
 		}(w)
 	}
 	stmts := []string{

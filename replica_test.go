@@ -9,11 +9,14 @@ package hazy_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	root "hazy"
+	"hazy/internal/server"
 	"hazy/internal/wal"
 )
 
@@ -337,4 +340,179 @@ func TestReplicaLagMetrics(t *testing.T) {
 	if !found {
 		t.Fatalf("SHOW STATS FOR replica returned no replica collectors: %v", res.Rows)
 	}
+}
+
+// startCaughtUpReplica runs the crash workload on a fresh primary —
+// a main-memory view lv and an on-disk striped view sv over the same
+// tables — and returns it with a replica drained to its WAL tip.
+func startCaughtUpReplica(t *testing.T) (prim, rep *root.DB) {
+	t.Helper()
+	opts := root.OpenOptions{Fsync: "off"}
+	prim, err := root.OpenWith(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { prim.Close() })
+	shipper, err := prim.StartShipping("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repdir := t.TempDir()
+	if err := root.BootstrapReplica(repdir, shipper.Addr(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = root.OpenWith(repdir, opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rep.Close() })
+	if err := rep.StartReplica(shipper.Addr(), t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	ops := crashWorkload()
+	if acked, err := runCrashWorkload(prim, ops); err != nil || acked != len(ops) {
+		t.Fatalf("workload: %d/%d acked, %v", acked, len(ops), err)
+	}
+	assertEquivalent(t, prim, rep, "replica drain")
+	return prim, rep
+}
+
+// execWithin answers one protocol line, failing the test if the
+// answer takes longer than d.
+func execWithin(t *testing.T, srv *server.Server, line string, d time.Duration) string {
+	t.Helper()
+	done := make(chan string, 1)
+	go func() {
+		out, _ := srv.Exec(line)
+		done <- out
+	}()
+	select {
+	case out := <-done:
+		return out
+	case <-time.After(d):
+		t.Fatalf("%q did not answer within %v", line, d)
+		return ""
+	}
+}
+
+// TestReplicaVerbsReadPublishedSnapshot: on a replica the applier
+// owns the live structures and serializes on the statement mutex, so
+// reads of a main-memory view must come from the snapshot it
+// republishes — for the wire verbs exactly as for SQL. With the
+// mutex held, every read verb still answers at once, and answers what
+// SQL answers; the on-disk view, which replicas do not publish, still
+// binds live.
+func TestReplicaVerbsReadPublishedSnapshot(t *testing.T) {
+	prim, rep := startCaughtUpReplica(t)
+	sess := rep.NewSession()
+	sqlCol := func(q string) []string {
+		t.Helper()
+		res, err := sess.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var col []string
+		for _, row := range res.Rows {
+			col = append(col, row[0])
+		}
+		return col
+	}
+	sorted := func(ids []string) string { slices.Sort(ids); return strings.Join(ids, " ") }
+
+	// The expected answers: SQL for reads, the primary's own CLASSIFY
+	// (same trained model), and the Go binding's counters.
+	want := map[string]string{
+		"COUNT lv":       sqlCol("SELECT COUNT(*) FROM lv WHERE class = 1")[0],
+		"UNCERTAIN lv 3": strings.Join(sqlCol("SELECT id FROM lv ORDER BY ABS(eps) LIMIT 3"), " "),
+	}
+	for id := 1; id <= 14; id++ {
+		label := "-1"
+		if sqlCol(fmt.Sprintf("SELECT class FROM lv WHERE id = %d", id))[0] == "1" {
+			label = "+1"
+		}
+		want[fmt.Sprintf("LABEL lv %d", id)] = label
+	}
+	const text = "CLASSIFY relational database query optimization"
+	psrv := server.New(prim, server.Options{DefaultView: "lv"})
+	if want[text], _ = psrv.Exec(text); want[text] != "+1" && want[text] != "-1" {
+		t.Fatalf("primary %s = %q", text, want[text])
+	}
+	bv, err := sess.Bind("lv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bv.Live() {
+		t.Fatal("a replica's main-memory view bound live")
+	}
+	st, _ := bv.ViewStats()
+	want["STATS lv"] = fmt.Sprintf("updates=%d reorgs=%d band=%d", st.Updates, st.Reorgs, st.BandTuples)
+	members := sorted(sqlCol("SELECT id FROM lv WHERE class = 1"))
+
+	mu := rep.StatementMu()
+	mu.Lock()
+	defer mu.Unlock()
+	srv := server.New(rep, server.Options{DefaultView: "lv"})
+	for line, w := range want {
+		if got := execWithin(t, srv, line, time.Second); got != w {
+			t.Errorf("%s = %q, want %q", line, got, w)
+		}
+	}
+	if got := execWithin(t, srv, "MEMBERS lv", time.Second); sorted(strings.Fields(got)) != members {
+		t.Errorf("MEMBERS lv = %q, want the ids {%s}", got, members)
+	}
+	// Writes are refused by the read-only gate, also without the mutex.
+	if got := execWithin(t, srv, "TRAIN lv 1 1", time.Second); !strings.Contains(got, "read-only replica") {
+		t.Errorf("TRAIN on a replica = %q, want a read-only refusal", got)
+	}
+	for view, origin := range map[string]string{"lv": "snapshot", "sv": "live"} {
+		plan := strings.Join(sqlCol("EXPLAIN SELECT class FROM "+view+" WHERE id = 1"), "\n")
+		if !strings.Contains(plan, view+", "+origin) {
+			t.Errorf("EXPLAIN on %s = %q, want origin %s", view, plan, origin)
+		}
+	}
+}
+
+// TestReplicaVerbsDuringApply: read verbs on a replica's main-memory
+// view run while the applier replays a stream of inserts; run under
+// -race it checks that the lock-free verb path shares nothing
+// unsynchronized with the applier.
+func TestReplicaVerbsDuringApply(t *testing.T) {
+	prim, rep := startCaughtUpReplica(t)
+	srv := server.New(rep, server.Options{DefaultView: "lv"})
+	lines := []string{"LABEL lv 1", "COUNT lv", "MEMBERS lv", "UNCERTAIN lv 3",
+		"CLASSIFY operating system kernel", "STATS lv"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if out, _ := srv.Exec(lines[i%len(lines)]); strings.HasPrefix(out, "ERR") {
+					t.Errorf("%s during apply: %s", lines[i%len(lines)], out)
+					return
+				}
+			}
+		}(r)
+	}
+	sess := prim.NewSession()
+	for id := int64(100); id < 300; id++ {
+		for _, q := range []string{
+			fmt.Sprintf("INSERT INTO papers VALUES (%d, '%s')", id, crashTitle(id)),
+			fmt.Sprintf("INSERT INTO feedback VALUES (%d, %d)", id, 1-2*(id%2)),
+		} {
+			if _, err := sess.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertEquivalent(t, prim, rep, "after concurrent verbs")
 }

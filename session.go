@@ -7,6 +7,7 @@ import (
 
 	"hazy/internal/core"
 	"hazy/internal/engine"
+	"hazy/internal/exec"
 	"hazy/internal/sqlmini"
 )
 
@@ -29,10 +30,11 @@ type Result struct {
 //
 // Every consumer goes through a Session: embedded Go callers, each
 // hazyql REPL, and every TCP connection served by hazyd. Sessions are
-// cheap; create one per actor. A Session's engine-backed operations
-// (reads and writes on engined views) are safe for concurrent use;
-// catalog DDL and operations on non-engined views need external
-// serialization, exactly like the underlying DB.
+// cheap; create one per actor. Reads through a snapshot binding
+// (BoundView.Live false) and writes on engined views are safe for
+// concurrent use; catalog DDL, writes on unmanaged views and reads
+// through a live binding need external serialization, exactly like
+// the underlying DB.
 type Session struct {
 	db *DB
 
@@ -94,122 +96,123 @@ func (s *Session) token(eng *engine.Engine) engine.Token {
 	return tok
 }
 
-// resolve maps a view name ("" = the session default) to the view and
-// its attached engine (nil when unmanaged).
-func (s *Session) resolve(view string) (*ClassView, *engine.Engine, error) {
+// BoundView is a view handle resolved once, and the one place that
+// decides which state answers the view's reads: the engine's
+// published snapshot when an engine is attached, a replica's
+// republished snapshot while a shipped stream is applied, and the
+// live structure otherwise. The SQL catalog, every wire verb and Go
+// callers read through the same binding, so they cannot disagree
+// about it, and a concurrent attach or detach cannot split a caller's
+// decision from its operations. If the bound engine has since been
+// detached, its writes fail with an explicit engine-closed error
+// (never a silent fallback to the unsynchronized live view). A
+// binding is per statement: reads answer from the state loaded at
+// Bind, so re-bind to observe later writes.
+type BoundView struct {
+	s    *Session
+	cv   *ClassView
+	eng  *engine.Engine // nil when unmanaged at bind time
+	snap *core.Snapshot // nil when the binding reads live state
+	src  exec.ViewSource
+	// The sources live inside the binding, so a bind is one
+	// allocation; src points at whichever of them serves.
+	ss snapshotSource
+	ls liveSource
+}
+
+// Bind resolves a view name ("" = the session default) once and
+// loads the state its reads are served from.
+func (s *Session) Bind(view string) (*BoundView, error) {
 	name := view
 	if name == "" {
 		name = s.DefaultView()
 	}
 	if name == "" {
-		return nil, nil, fmt.Errorf("hazy: no view named and no default view set (USE <view>)")
+		return nil, fmt.Errorf("hazy: no view named and no default view set (USE <view>)")
 	}
-	return s.db.viewAndEngine(name)
-}
-
-// BoundView is a view handle resolved once: the view and whichever
-// engine was attached at bind time travel together, so a caller's
-// "engined?" decision and its subsequent operations cannot diverge
-// when an engine is attached or detached concurrently. If the bound
-// engine has since been detached, its writes fail with an explicit
-// engine-closed error (never a silent fallback to the unsynchronized
-// live view) and its reads answer from the engine's final snapshot.
-type BoundView struct {
-	s   *Session
-	cv  *ClassView
-	eng *engine.Engine // nil when unmanaged at bind time
-}
-
-// Bind resolves a view name ("" = the session default) once.
-func (s *Session) Bind(view string) (*BoundView, error) {
-	cv, eng, err := s.resolve(view)
+	cv, eng, err := s.db.viewAndEngine(name)
 	if err != nil {
 		return nil, err
 	}
-	return &BoundView{s: s, cv: cv, eng: eng}, nil
+	bv := &BoundView{s: s, cv: cv, eng: eng}
+	if eng != nil {
+		bv.snap = eng.Snapshot()
+	} else {
+		// On a replica the applier owns the live structure; reads
+		// come from the snapshot it republishes after every batch
+		// (nil on a primary).
+		bv.snap = cv.pub.Load()
+	}
+	if bv.snap != nil {
+		bv.ss = snapshotSource{name: name, snap: bv.snap}
+		bv.src = &bv.ss
+	} else {
+		bv.ls = liveSource{cv: cv}
+		bv.src = &bv.ls
+	}
+	return bv, nil
 }
 
-// Engined reports whether the view had an engine attached at bind
-// time (reads and writes then bypass statement-level locking).
-func (bv *BoundView) Engined() bool { return bv.eng != nil }
+// Live reports whether the binding reads the live structure, which
+// needs the caller's serialization (the server's statement mutex, or
+// single-threaded embedded use). Snapshot bindings are lock-free.
+func (bv *BoundView) Live() bool { return bv.snap == nil }
 
 // Name returns the bound view's name.
 func (bv *BoundView) Name() string { return bv.cv.Name() }
 
-// Label answers a Single Entity read — lock-free from the engine's
-// published snapshot when the view is engined.
-func (bv *BoundView) Label(id int64) (int, error) {
-	if bv.eng != nil {
-		return bv.eng.Label(id)
-	}
-	return bv.cv.Label(id)
-}
+// Label answers a Single Entity read.
+func (bv *BoundView) Label(id int64) (int, error) { return bv.src.Label(id) }
 
 // Members answers an All Members read.
-func (bv *BoundView) Members() ([]int64, error) {
-	if bv.eng != nil {
-		return bv.eng.Members()
-	}
-	return bv.cv.Members()
-}
+func (bv *BoundView) Members() ([]int64, error) { return bv.src.Members() }
 
 // CountMembers counts the +1-labeled entities.
-func (bv *BoundView) CountMembers() (int, error) {
-	if bv.eng != nil {
-		return bv.eng.CountMembers()
-	}
-	return bv.cv.CountMembers()
-}
-
-// Classify scores free text against the view's current model without
-// storing anything. A never-trained view returns an "untrained" error
-// instead of a meaningless zero-model prediction.
-func (bv *BoundView) Classify(text string) (int, error) {
-	if bv.eng != nil {
-		return bv.eng.Classify(text)
-	}
-	return bv.cv.Classify(text)
-}
-
-// Uncertain is implemented by views that can surface active-learning
-// candidates.
-type Uncertain interface {
-	MostUncertain(k int) ([]int64, error)
-}
+func (bv *BoundView) CountMembers() (int, error) { return bv.src.CountMembers() }
 
 // MostUncertain returns up to k ids nearest the decision boundary
 // (active-learning picks).
-func (bv *BoundView) MostUncertain(k int) ([]int64, error) {
-	if bv.eng != nil {
-		return bv.eng.MostUncertain(k)
+func (bv *BoundView) MostUncertain(k int) ([]int64, error) { return bv.src.MostUncertain(k) }
+
+// Classify scores free text against the bound model without storing
+// anything. A never-trained view returns an "untrained" error instead
+// of a meaningless zero-model prediction.
+func (bv *BoundView) Classify(text string) (int, error) {
+	m := bv.cv.view.Model()
+	if bv.snap != nil {
+		m = bv.snap.Model()
 	}
-	if s := bv.cv.pub.Load(); s != nil {
-		return s.MostUncertain(k)
+	if m == nil || !m.Trained() {
+		return 0, fmt.Errorf("hazy: view %q is untrained (no training examples yet)", bv.cv.Name())
 	}
-	u, ok := bv.cv.Core().(Uncertain)
-	if !ok {
-		return nil, fmt.Errorf("hazy: view %q does not support uncertainty ranking", bv.cv.Name())
-	}
-	return u.MostUncertain(k)
+	return m.Predict(bv.cv.ff.ComputeFeature(text)), nil
 }
 
 // Train inserts a training example into the view's examples table
 // (synchronous: it returns once the write is applied and visible,
 // whichever path — trigger or engine — maintains the view).
 func (bv *BoundView) Train(id int64, label int) error {
-	if bv.eng != nil {
+	switch {
+	case bv.eng != nil:
 		if label != 1 && label != -1 {
 			return fmt.Errorf("hazy: label must be ±1, got %d", label)
 		}
 		return bv.eng.Train(id, label)
+	case bv.snap != nil:
+		// A replica binding stays read-only even if PROMOTE lands
+		// after Bind: it was not taken under any write serialization.
+		return errReadOnly
 	}
 	return bv.cv.exs.InsertExample(id, label)
 }
 
 // Add inserts an entity into the view's entity table (synchronous).
 func (bv *BoundView) Add(id int64, text string) error {
-	if bv.eng != nil {
+	switch {
+	case bv.eng != nil:
 		return bv.eng.Add(id, text)
+	case bv.snap != nil:
+		return errReadOnly // a replica binding, as in Train
 	}
 	return bv.cv.ents.InsertText(id, text)
 }
@@ -245,124 +248,17 @@ func (bv *BoundView) Flush() error {
 	return bv.eng.FlushTok(bv.s.token(bv.eng))
 }
 
-// ViewStats returns the view's maintenance counters (from the
-// published snapshot when engined) plus the engine's serving
-// counters rendered as a string ("" when unmanaged).
+// ViewStats returns the view's maintenance counters (as captured in
+// the bound snapshot, if any) plus the engine's serving counters
+// rendered as a string ("" when unmanaged).
 func (bv *BoundView) ViewStats() (Stats, string) {
 	if bv.eng != nil {
-		return bv.eng.ViewStats(), bv.eng.Stats().String()
+		return bv.snap.Stats(), bv.eng.Stats().String()
+	}
+	if bv.snap != nil {
+		return bv.snap.Stats(), ""
 	}
 	return bv.cv.Stats(), ""
-}
-
-// The name-addressed Session forms below re-resolve per call — the
-// convenience surface for embedded use; servers bind once per
-// statement (Bind) so the engined decision and the operation agree.
-
-// Label answers a Single Entity read on the named view ("" = default).
-func (s *Session) Label(view string, id int64) (int, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return 0, err
-	}
-	return bv.Label(id)
-}
-
-// Members answers an All Members read on the named view.
-func (s *Session) Members(view string) ([]int64, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return nil, err
-	}
-	return bv.Members()
-}
-
-// CountMembers counts the +1-labeled entities of the named view.
-func (s *Session) CountMembers(view string) (int, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return 0, err
-	}
-	return bv.CountMembers()
-}
-
-// Classify scores free text against the named view's current model.
-func (s *Session) Classify(view, text string) (int, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return 0, err
-	}
-	return bv.Classify(text)
-}
-
-// MostUncertain returns up to k ids nearest the named view's decision
-// boundary.
-func (s *Session) MostUncertain(view string, k int) ([]int64, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return nil, err
-	}
-	return bv.MostUncertain(k)
-}
-
-// Train inserts a training example into the named view's examples
-// table (synchronous).
-func (s *Session) Train(view string, id int64, label int) error {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return err
-	}
-	return bv.Train(id, label)
-}
-
-// Add inserts an entity into the named view's entity table
-// (synchronous).
-func (s *Session) Add(view string, id int64, text string) error {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return err
-	}
-	return bv.Add(id, text)
-}
-
-// TrainAsync enqueues a training example on the named view's engine,
-// tagged with this session's token.
-func (s *Session) TrainAsync(view string, id int64, label int) error {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return err
-	}
-	return bv.TrainAsync(id, label)
-}
-
-// AddAsync enqueues an entity insert on the named view's engine,
-// tagged with this session's token.
-func (s *Session) AddAsync(view string, id int64, text string) error {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return err
-	}
-	return bv.AddAsync(id, text)
-}
-
-// Flush is this session's barrier on the named view's engine.
-func (s *Session) Flush(view string) error {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return err
-	}
-	return bv.Flush()
-}
-
-// ViewStats returns the named view's maintenance counters plus the
-// engine's serving counters ("" when unmanaged).
-func (s *Session) ViewStats(view string) (Stats, string, error) {
-	bv, err := s.Bind(view)
-	if err != nil {
-		return Stats{}, "", err
-	}
-	vs, es := bv.ViewStats()
-	return vs, es, nil
 }
 
 // Exec parses and executes one SQL statement against the catalog,

@@ -29,6 +29,15 @@ func mustExec(t *testing.T, s *Session, sql string) *Result {
 	return r
 }
 
+func mustBind(t *testing.T, s *Session, view string) *BoundView {
+	t.Helper()
+	bv, err := s.Bind(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bv
+}
+
 func TestEndToEndSQL(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, "CREATE TABLE papers (id BIGINT, title TEXT) KEY id")
@@ -280,7 +289,7 @@ func TestMostUncertainNonPositiveK(t *testing.T) {
 			mustExec(t, s, "ATTACH ENGINE TO qv")
 		}
 		for _, k := range []int{-1, 0} {
-			ids, err := s.MostUncertain("qv", k)
+			ids, err := mustBind(t, s, "qv").MostUncertain(k)
 			if err != nil || ids != nil {
 				t.Fatalf("engined=%v: MostUncertain(qv, %d) = %v, %v; want nil, nil", engined, k, ids, err)
 			}
@@ -388,14 +397,14 @@ func TestConcurrentScanAndEngineWrites(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		s2 := s.DB().NewSession()
-		for id := int64(100); id < 200; id++ {
-			if err := s2.AddAsync("v", id, "alpha gamma text"); err != nil {
-				done <- err
-				return
-			}
+		bv, err := s.DB().NewSession().Bind("v")
+		for id := int64(100); err == nil && id < 200; id++ {
+			err = bv.AddAsync(id, "alpha gamma text")
 		}
-		done <- s2.Flush("v")
+		if err == nil {
+			err = bv.Flush()
+		}
+		done <- err
 	}()
 	for i := 0; i < 100; i++ {
 		if _, err := s.Exec("SELECT COUNT(*) FROM p"); err != nil {
@@ -461,7 +470,7 @@ func TestPendingViewRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Label(1); err != nil {
+	if _, err := v.Core().Label(1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -488,23 +497,24 @@ func TestPerSessionFlushEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, s2 := db.NewSession(), db.NewSession()
+	b1, b2 := mustBind(t, s1, "v"), mustBind(t, s2, "v")
 
-	if err := s1.TrainAsync("v", 999, 1); err != nil { // unknown entity: fails at apply
+	if err := b1.TrainAsync(999, 1); err != nil { // unknown entity: fails at apply
 		t.Fatal(err)
 	}
-	if err := s2.TrainAsync("v", 1, 1); err != nil {
+	if err := b2.TrainAsync(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Flush("v"); err != nil {
+	if err := b2.Flush(); err != nil {
 		t.Fatalf("session 2 flush collected a foreign error: %v", err)
 	}
-	if err := s1.Flush("v"); err == nil {
+	if err := b1.Flush(); err == nil {
 		t.Fatal("session 1 flush lost its own error")
 	}
-	if err := s1.Flush("v"); err != nil {
+	if err := b1.Flush(); err != nil {
 		t.Fatalf("error reported twice: %v", err)
 	}
-	if label, err := s2.Label("v", 1); err != nil || label != 1 {
+	if label, err := mustBind(t, s2, "v").Label(1); err != nil || label != 1 {
 		t.Fatalf("Label = %d, %v", label, err)
 	}
 }
@@ -543,10 +553,11 @@ func TestClassifyDoesNotGrowVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.ComputeStats(corpus)
-	model := s.DB().AttachedEngine("v").Snapshot().Model()
+	bv := mustBind(t, s, "v")
+	model := bv.snap.Model()
 	for i := 0; i < 10000; i++ {
 		text := fmt.Sprintf("databases w%d", i)
-		got, err := s.Classify("v", text)
+		got, err := bv.Classify(text)
 		if err != nil {
 			t.Fatal(err)
 		}

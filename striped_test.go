@@ -303,7 +303,7 @@ func TestClassifyUntrainedViewErrors(t *testing.T) {
 	}
 	// Training flips Classify to serving.
 	mustExec(t, s, "INSERT INTO uf VALUES (1, 1)")
-	if got, err := s.Classify("uv", "relational query optimization"); err != nil || got != 1 {
+	if got, err := mustBind(t, s, "uv").Classify("relational query optimization"); err != nil || got != 1 {
 		t.Fatalf("Classify after train = %d, %v", got, err)
 	}
 }
