@@ -81,7 +81,11 @@ func benchManyViews(tb testing.TB, views int) manyViewsResult {
 	wg.Add(1)
 	go func() { // hot flood on view 0
 		defer wg.Done()
-		hot := engines[0]
+		hot, err := db.NewSession().Bind(names[0])
+		if err != nil {
+			tb.Error(err)
+			return
+		}
 		for i := 0; i < manyViewsHotOps; i++ {
 			id := nextID.Add(1)
 			if err := hot.AddAsync(id, "hot view flood entity"); err != nil {
@@ -104,25 +108,37 @@ func benchManyViews(tb testing.TB, views int) manyViewsResult {
 	wg.Add(1)
 	go func() { // cold traffic across every other view
 		defer wg.Done()
+		sess := db.NewSession()
 		for vi := 1; vi < views; vi++ {
-			eng := engines[vi]
+			bv, err := sess.Bind(names[vi])
+			if err != nil {
+				tb.Error(err)
+				return
+			}
 			for j := 0; j < manyViewsColdOps; j++ {
 				id := nextID.Add(1)
-				if err := eng.AddAsync(id, "cold view entity"); err != nil {
+				if err := bv.AddAsync(id, "cold view entity"); err != nil {
 					tb.Error(err)
 					return
 				}
-				if err := eng.TrainAsync(id, 1-2*(j%2)); err != nil {
+				if err := bv.TrainAsync(id, 1-2*(j%2)); err != nil {
 					tb.Error(err)
 					return
 				}
 				totalOps.Add(2)
-				eng.Snapshot().CountMembers() // lock-free snapshot read
+				// A fresh binding reads the latest published version,
+				// lock-free.
+				rv, err := sess.Bind(names[vi])
+				if err != nil {
+					tb.Error(err)
+					return
+				}
+				rv.CountMembers()
 			}
 			if vi%sampleEvery == 0 {
 				for f := 0; f < manyViewsFlushes; f++ {
 					begin := time.Now()
-					if err := eng.Flush(); err != nil {
+					if err := bv.Flush(); err != nil {
 						tb.Error(err)
 						return
 					}

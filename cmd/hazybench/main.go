@@ -1,13 +1,9 @@
-// Command hazybench regenerates the paper's tables and figures, plus
-// the concurrency experiment ("conc") comparing the maintenance
-// engine's snapshot reads and batched ingest against the seed's
-// single-mutex server at 1, 4, and NumCPU clients.
+// Command hazybench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	hazybench -list
 //	hazybench -exp fig4a [-scale 0.5] [-updates 300] [-out results.txt]
-//	hazybench -exp conc [-reads 200000]
 //	hazybench -exp all
 package main
 

@@ -37,15 +37,16 @@
 // time (Session.Query); EXPLAIN SELECT prints the chosen plan.
 //
 // The equivalent Go-level calls (CreateEntityTable,
-// CreateClassificationView, ClassView.Label, …) remain available and
+// CreateClassificationView, Session.Bind, …) remain available and
 // interoperate with SQL — both surfaces share one catalog, which is
 // persisted in the database directory's manifest and recovered by
 // Open, views included.
 //
 // For concurrent serving, attach the maintenance engine to a view
 // (AttachEngine, or the SQL statement ATTACH ENGINE TO <view>):
-// reads then come lock-free from published snapshots and writes are
-// batched through a bounded queue, whichever surface they arrive on.
+// reads then come lock-free from the view's published version and
+// writes are batched through a bounded queue, whichever surface they
+// arrive on.
 //
 // Durability: every table mutation is appended to a write-ahead log
 // (internal/wal) before it touches heap pages, and Open replays the
@@ -64,6 +65,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,9 +101,8 @@ type Entity = core.Entity
 // Stats is re-exported from the maintenance core.
 type Stats = core.Stats
 
-// DB is a Hazy database: a catalog of relational tables, the
-// classification views maintained over them, and the registry of
-// concurrent maintenance engines attached to those views.
+// DB is a Hazy database: a catalog of relational tables and the
+// classification views maintained over them.
 type DB struct {
 	dir          string
 	rel          *relation.DB
@@ -112,7 +113,7 @@ type DB struct {
 	fsync        wal.SyncMode
 	defaultParts int
 
-	// mu guards the catalog maps, the engine registry, and manifest
+	// mu guards the catalog maps, engine attachment, and manifest
 	// writes. View maintenance itself is synchronized by the caller
 	// (single-threaded embedded use, the server's statement lock, or
 	// an attached engine's goroutine).
@@ -120,10 +121,13 @@ type DB struct {
 	views    map[string]*ClassView
 	tables   map[string]*EntityTable
 	examples map[string]*ExampleTable
-	specs    map[string]ViewSpec       // persisted view declarations
-	engines  map[string]*engine.Engine // view name → attached engine
-	pending  []ViewSpec                // manifest views awaiting a custom feature function
-	creating map[string]bool           // view names reserved by an in-flight create
+	specs    map[string]ViewSpec // persisted view declarations
+	pending  []ViewSpec          // manifest views awaiting a custom feature function, one per name
+	creating map[string]bool     // view names reserved by an in-flight create
+
+	// sessions numbers the sessions; each one's number is its engine
+	// token, so its async failures reach only its own Flush.
+	sessions atomic.Uint64
 
 	// Replication (replication.go). stmtMu serializes whole statements
 	// across every writer surface — the server shares it, and on a
@@ -236,7 +240,6 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 		tables:       map[string]*EntityTable{},
 		examples:     map[string]*ExampleTable{},
 		specs:        map[string]ViewSpec{},
-		engines:      map[string]*engine.Engine{},
 		creating:     map[string]bool{},
 	}
 	db.repl = replica.NewMetrics(metrics)
@@ -292,19 +295,7 @@ func OpenWith(dir string, opts OpenOptions) (*DB, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Views over app-registered feature functions (App. A.2)
-			// cannot be rebuilt yet — the app registers its functions
-			// only after Open returns. Defer them instead of failing
-			// the whole open; RecoverPendingViews finishes the job.
-			ffName := spec.FeatureFunction
-			if ffName == "" {
-				ffName = "tf_bag_of_words"
-			}
-			if !db.registry.Has(ffName) {
-				db.pending = append(db.pending, spec)
-				continue
-			}
-			if _, err := db.createClassificationView(spec, false); err != nil {
+			if err := db.declareOrDefer(spec, false); err != nil {
 				return nil, fmt.Errorf("hazy: recover view %q: %w", mv.Name, err)
 			}
 		}
@@ -353,31 +344,55 @@ func (db *DB) PendingViews() []string {
 // functions are still missing remain pending; the first rebuild
 // error is returned.
 func (db *DB) RecoverPendingViews() error {
-	db.mu.RLock()
+	db.mu.Lock()
 	pending := db.pending
-	db.mu.RUnlock()
-	var remaining []ViewSpec
+	db.pending = nil
+	db.mu.Unlock()
 	var first error
 	for _, spec := range pending {
-		ffName := spec.FeatureFunction
-		if ffName == "" {
-			ffName = "tf_bag_of_words"
-		}
-		if !db.registry.Has(ffName) {
-			remaining = append(remaining, spec)
-			continue
-		}
-		if _, err := db.createClassificationView(spec, false); err != nil {
-			remaining = append(remaining, spec)
+		if err := db.declareOrDefer(spec, false); err != nil {
+			db.park(spec)
 			if first == nil {
 				first = fmt.Errorf("hazy: recover view %q: %w", spec.Name, err)
 			}
 		}
 	}
-	db.mu.Lock()
-	db.pending = remaining
-	db.mu.Unlock()
 	return first
+}
+
+// declareOrDefer declares a view read from a manifest — at Open, or
+// shipped to a replica — unless its feature function is not
+// registered: views over app-registered functions (App. A.2) cannot be
+// rebuilt before the app registers them, which it does only after
+// Open returns, so they park until RecoverPendingViews.
+func (db *DB) declareOrDefer(spec ViewSpec, persist bool) error {
+	ffName := spec.FeatureFunction
+	if ffName == "" {
+		ffName = "tf_bag_of_words"
+	}
+	if !db.registry.Has(ffName) {
+		db.park(spec)
+		return nil
+	}
+	_, err := db.createClassificationView(spec, persist)
+	return err
+}
+
+// park adds spec to the pending views unless one of that name is
+// already parked: a replica receives the whole manifest again with
+// every DDL the primary ships.
+func (db *DB) park(spec ViewSpec) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if !db.parkedLocked(spec.Name) {
+		db.pending = append(db.pending, spec)
+	}
+}
+
+// parkedLocked reports whether the view name awaits
+// RecoverPendingViews. Callers hold db.mu.
+func (db *DB) parkedLocked(name string) bool {
+	return slices.ContainsFunc(db.pending, func(p ViewSpec) bool { return p.Name == name })
 }
 
 // Close drains and detaches every attached maintenance engine, writes
@@ -399,9 +414,11 @@ func (db *DB) Close() error {
 		shipper.Close() //nolint:errcheck — listener teardown
 	}
 	db.mu.RLock()
-	engines := make([]*engine.Engine, 0, len(db.engines))
-	for _, eng := range db.engines {
-		engines = append(engines, eng)
+	var engines []*engine.Engine
+	for _, cv := range db.views {
+		if eng := cv.eng.Load(); eng != nil {
+			engines = append(engines, eng)
+		}
 	}
 	db.mu.RUnlock()
 	var first error
@@ -500,7 +517,7 @@ func (t *EntityTable) InsertText(id int64, text string) error {
 	if err := t.db.writable(); err != nil {
 		return err
 	}
-	if eng := t.db.engineForEntities(t); eng != nil {
+	if eng := t.db.engineOver(t, nil); eng != nil {
 		return eng.Add(id, text)
 	}
 	return t.tbl.Insert(relation.Tuple{id, text})
@@ -607,7 +624,7 @@ func (t *ExampleTable) InsertExample(id int64, label int) error {
 	if label != 1 && label != -1 {
 		return fmt.Errorf("hazy: label must be ±1, got %d", label)
 	}
-	if eng := t.db.engineForExamples(t); eng != nil {
+	if eng := t.db.engineOver(nil, t); eng != nil {
 		return eng.Train(id, label)
 	}
 	return t.tbl.Insert(relation.Tuple{id, int64(label)})
@@ -625,7 +642,7 @@ func (t *ExampleTable) DeleteExample(id int64) error {
 	if err := t.db.writable(); err != nil {
 		return err
 	}
-	if t.db.engineForExamples(t) != nil {
+	if t.db.engineOver(nil, t) != nil {
 		return fmt.Errorf("hazy: %s is engine-managed; detach the engine before deleting examples", t.Name())
 	}
 	return t.tbl.Delete(id)
@@ -641,7 +658,7 @@ func (t *ExampleTable) RelabelExample(id int64, label int) error {
 	if label != 1 && label != -1 {
 		return fmt.Errorf("hazy: label must be ±1, got %d", label)
 	}
-	if t.db.engineForExamples(t) != nil {
+	if t.db.engineOver(nil, t) != nil {
 		return fmt.Errorf("hazy: %s is engine-managed; detach the engine before relabeling examples", t.Name())
 	}
 	return t.tbl.Update(relation.Tuple{id, int64(label)})
@@ -712,15 +729,17 @@ type ClassView struct {
 	ff     feature.Func
 	ents   *EntityTable
 	exs    *ExampleTable
-	// managed is set while an Engine owns this view's maintenance;
-	// the table triggers then skip this view (the engine applies the
-	// maintenance itself, batched, on its own goroutine).
-	managed atomic.Bool
-	// pub is the replica serving snapshot: while this process applies a
-	// shipped stream, reads come lock-free from here — republished
-	// after every applied batch — instead of the live structure the
-	// applier is mutating. Nil on a primary (and after PROMOTE), where
-	// reads go live or through an attached engine's snapshots.
+	// eng is the attached maintenance engine, nil while unmanaged. While
+	// it is set the table triggers skip this view (the engine applies
+	// the maintenance itself, batched, on the maintenance pool) and
+	// inserts through the tables route to it.
+	eng atomic.Pointer[engine.Engine]
+	// pub is the view's one published version. An attached engine
+	// stores it after every batch; a replica's applier after every
+	// commit. Reads come lock-free from here whenever an engine is
+	// attached or the database is a replica (Session.Bind) — instead of
+	// the live structure the engine or applier is mutating. Nil while
+	// neither owns the view.
 	pub atomic.Pointer[core.Snapshot]
 }
 
@@ -899,7 +918,7 @@ func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*Clas
 	// Trigger: new entities are featurized and classified on arrival
 	// (type-1 dynamic data).
 	et.tbl.AddTrigger(func(ev relation.TriggerEvent, old, new relation.Tuple) error {
-		if ev != relation.AfterInsert || cv.managed.Load() {
+		if ev != relation.AfterInsert || cv.eng.Load() != nil {
 			return nil
 		}
 		text := new[et.textCol].(string)
@@ -922,7 +941,7 @@ func (db *DB) buildView(spec ViewSpec, et *EntityTable, xt *ExampleTable) (*Clas
 		return out, err
 	}
 	xt.tbl.AddTrigger(func(ev relation.TriggerEvent, old, new relation.Tuple) error {
-		if cv.managed.Load() {
+		if cv.eng.Load() != nil {
 			return nil
 		}
 		switch ev {
@@ -994,14 +1013,21 @@ func NewVectorView(arch core.Arch, strategy core.Strategy, dir string, poolPages
 // Options re-exports the core view options.
 type Options = core.Options
 
-// EngineOptions re-exports the maintenance-engine options.
-type EngineOptions = engine.Options
+// EngineOptions sizes a maintenance engine's write queue.
+type EngineOptions struct {
+	// QueueSize bounds the update queue; writers block when it is full
+	// (backpressure). Default 1024.
+	QueueSize int
+	// MaxBatch caps how many queued ops one maintenance step drains
+	// and group-applies. Default 256.
+	MaxBatch int
+}
 
 // AttachEngine wraps the named view with a concurrent maintenance
-// engine and records it in the DB's engine registry: TRAIN and ADD
-// flow through a bounded queue drained by one maintenance goroutine
-// (group-applied in batches), while reads are answered lock-free from
-// atomically published immutable snapshots. While attached the view's
+// engine: TRAIN and ADD flow through a bounded queue drained on the
+// catalog's maintenance pool (group-applied in batches), while reads
+// are answered lock-free from the view's published version, which the
+// engine republishes after every batch. While attached the view's
 // table triggers are suspended for this view, and inserts through the
 // table or Session APIs route through the engine automatically.
 //
@@ -1029,36 +1055,34 @@ func (db *DB) AttachEngine(view string, opts EngineOptions) (*engine.Engine, err
 	if _, ok := cv.view.(core.Snapshotter); !ok {
 		return nil, fmt.Errorf("hazy: view %q (%T) does not support snapshots, which the engine requires", cv.name, cv.view)
 	}
-	for name := range db.engines {
-		other := db.views[name]
-		if other.ents == cv.ents || other.exs == cv.exs {
+	// A view shares its own tables, so this one scan also rejects a
+	// second engine on the view.
+	for name, other := range db.views {
+		if other.eng.Load() != nil && (other.ents == cv.ents || other.exs == cv.exs) {
 			return nil, fmt.Errorf("hazy: view %q shares a table with engine-managed view %q", view, name)
 		}
 	}
-	if cv.managed.Swap(true) {
-		return nil, fmt.Errorf("hazy: view %q already has an engine attached", cv.name)
-	}
-	opts.Metrics = db.metrics
-	opts.Name = view
-	opts.Pool = db.pool
-	eng, err := engine.New(&viewBackend{db: db, cv: cv}, opts)
+	eng, err := engine.New(&viewBackend{db: db, cv: cv}, engine.Options{
+		QueueSize: opts.QueueSize,
+		MaxBatch:  opts.MaxBatch,
+		Metrics:   db.metrics,
+		Name:      view,
+		Pool:      db.pool,
+	})
 	if err != nil {
-		cv.managed.Store(false)
 		return nil, err
 	}
-	db.engines[view] = eng
+	cv.eng.Store(eng)
 	return eng, nil
 }
 
 // DetachEngine closes the named view's engine: the queue drains, the
-// final snapshot is published, the view's triggers resume, and the
-// registry entry is removed. It returns the engine's close error
-// (including any unreported async write failure).
+// final version is published, and the view returns to unmanaged
+// operation with its triggers resumed. It returns the engine's close
+// error (including any unreported async write failure).
 func (db *DB) DetachEngine(view string) error {
-	db.mu.RLock()
-	eng, ok := db.engines[view]
-	db.mu.RUnlock()
-	if !ok {
+	eng := db.AttachedEngine(view)
+	if eng == nil {
 		return fmt.Errorf("hazy: view %q has no engine attached", view)
 	}
 	return eng.Close()
@@ -1067,49 +1091,24 @@ func (db *DB) DetachEngine(view string) error {
 // AttachedEngine returns the engine currently attached to the named
 // view, or nil.
 func (db *DB) AttachedEngine(view string) *engine.Engine {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engines[view]
-}
-
-// viewAndEngine resolves a view and its attached engine under one
-// lock acquisition — the serving hot path.
-func (db *DB) viewAndEngine(name string) (*ClassView, *engine.Engine, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	v, ok := db.views[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("hazy: no view %q", name)
+	cv, err := db.View(view)
+	if err != nil {
+		return nil
 	}
-	return v, db.engines[name], nil
+	return cv.eng.Load()
 }
 
-// EnginedViews lists the views with an engine attached, sorted.
-func (db *DB) EnginedViews() []string {
+// engineOver returns the engine managing a view over the entity table
+// ents or the examples table exs, if any; AttachEngine lets at most
+// one engine manage a table.
+func (db *DB) engineOver(ents *EntityTable, exs *ExampleTable) *engine.Engine {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return sortedKeys(db.engines)
-}
-
-// engineForEntities returns the engine managing a view over t, if any.
-func (db *DB) engineForEntities(t *EntityTable) *engine.Engine {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for name, eng := range db.engines {
-		if db.views[name].ents == t {
-			return eng
-		}
-	}
-	return nil
-}
-
-// engineForExamples returns the engine managing a view over t, if any.
-func (db *DB) engineForExamples(t *ExampleTable) *engine.Engine {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for name, eng := range db.engines {
-		if db.views[name].exs == t {
-			return eng
+	for _, cv := range db.views {
+		if cv.ents == ents || cv.exs == exs {
+			if eng := cv.eng.Load(); eng != nil {
+				return eng
+			}
 		}
 	}
 	return nil
@@ -1217,20 +1216,23 @@ func (b *viewBackend) Commit() error {
 	return b.db.rel.CommitLog()
 }
 
-func (b *viewBackend) Snapshot() (*core.Snapshot, error) {
-	return b.cv.view.(core.Snapshotter).Snapshot()
+// Publish snapshots the view into its published-version slot.
+func (b *viewBackend) Publish() error {
+	snap, err := b.cv.view.(core.Snapshotter).Snapshot()
+	if err != nil {
+		return err
+	}
+	b.cv.pub.Store(snap)
+	return nil
 }
 
-// Detach is called by Engine.Close after the final drain: the view's
-// table triggers resume FIRST, then the engine leaves the registry —
-// in that order, so a concurrent insert either routes to the closed
-// engine (an explicit ErrClosed) or runs with live triggers; the
-// opposite order would open a window where the insert bypasses the
-// engine while the trigger still sees the view as managed, silently
-// skipping maintenance. Afterwards a new engine may be attached.
+// Detach is called by Engine.Close after the final drain. Clearing eng
+// resumes the triggers and stops routing inserts to the engine in one
+// store, so a concurrent insert either reaches the closed engine (an
+// explicit ErrClosed) or runs with live triggers. Clearing pub after
+// it returns reads to the live structure. Afterwards a new engine may
+// be attached.
 func (b *viewBackend) Detach() {
-	b.cv.managed.Store(false)
-	b.db.mu.Lock()
-	delete(b.db.engines, b.cv.name)
-	b.db.mu.Unlock()
+	b.cv.eng.Store(nil)
+	b.cv.pub.Store(nil)
 }

@@ -264,7 +264,7 @@ func TestCustomFeatureFunction(t *testing.T) {
 
 // TestEngineAttachDetach covers the engine lifecycle at the DB
 // level: while attached the view is engine-managed (double attach
-// rejected, registry populated, table mutations routed through the
+// rejected, AttachedEngine set, table mutations routed through the
 // engine), and Close drains, re-enables the table triggers, and
 // allows a fresh attach.
 func TestEngineAttachDetach(t *testing.T) {
@@ -287,7 +287,7 @@ func TestEngineAttachDetach(t *testing.T) {
 	if err := examples.InsertExample(1, -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Snapshot().Stats().Updates; got != 2 {
+	if got := v.pub.Load().Stats().Updates; got != 2 {
 		t.Fatalf("updates while managed = %d, want 2 (engine-routed insert)", got)
 	}
 	// Deletes and relabels have no engine op and are rejected.
@@ -319,7 +319,7 @@ func TestEngineAttachDetach(t *testing.T) {
 	if err := eng2.Train(3, -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng2.Snapshot().Stats().Updates; got != 4 {
+	if got := v.pub.Load().Stats().Updates; got != 4 {
 		t.Fatalf("updates after re-attach = %d, want 4", got)
 	}
 }

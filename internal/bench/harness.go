@@ -79,7 +79,6 @@ var All = []Experiment{
 	{"skiing", "Lemma 3.2/Thm 3.3: Skiing competitive ratio", RunSkiing},
 	{"alpha", "App. C.2: α-sensitivity of Skiing", RunAlpha},
 	{"ablation", "Ablation: Skiing vs never/always reorganizing", RunAblation},
-	{"conc", "Concurrent engine: snapshot reads + batched ingest vs single mutex", RunConcurrent},
 }
 
 // Find returns the experiment with the given id.

@@ -1,7 +1,5 @@
 package engine
 
-import "hazy/internal/core"
-
 // TrainOp is one queued training example, addressed by entity id —
 // the engine-side form of an INSERT into the examples table.
 type TrainOp struct {
@@ -27,8 +25,18 @@ type Backend interface {
 	// applies each stripe's share in parallel. Like ApplyTrainBatch it
 	// returns one error slot per op, positionally.
 	ApplyAddBatch(ops []AddOp) []error
-	// Snapshot exports an immutable read snapshot of the view.
-	Snapshot() (*core.Snapshot, error)
+	// Commit is the group-commit barrier: the engine calls it once
+	// after applying a batch that mutated the view, before
+	// acknowledging any waiter, so a whole batch pays one fsync. An
+	// error fails every op in the batch that had not already failed.
+	Commit() error
+	// Publish exports an immutable version of the view and makes it
+	// the one readers are served from. The engine calls it once when
+	// it starts and once after every batch that mutated the view.
+	Publish() error
+	// Detach runs once, after Close has drained the queue: the view
+	// leaves the engine's management and resumes unmanaged operation.
+	Detach()
 }
 
 // AddOp is one queued entity insert — the engine-side form of an
@@ -36,13 +44,4 @@ type Backend interface {
 type AddOp struct {
 	ID   int64
 	Text string
-}
-
-// Committer is implemented by backends whose durable writes ride a
-// write-ahead log with deferred commits: the engine calls Commit once
-// after applying each batch — before acknowledging any waiter — so a
-// whole batch pays one fsync. A Commit error fails every op in the
-// batch that had not already failed.
-type Committer interface {
-	Commit() error
 }

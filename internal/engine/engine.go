@@ -23,16 +23,17 @@
 // mechanism: when maintenance falls behind, producers block in
 // Enqueue instead of growing an unbounded backlog.
 //
-// Reads (LABEL, COUNT, MEMBERS, CLASSIFY, UNCERTAIN) never touch the
-// view at all. After each applied batch the maintenance goroutine
-// exports an immutable core.Snapshot and publishes it with one atomic
-// pointer swap; readers load the pointer and answer from the
-// snapshot with no locks taken, so reads scale across cores and are
-// never blocked behind maintenance. Freshness is batch-granular: a
-// read observes the view as of the last published snapshot. Callers
-// that need read-your-writes either use the synchronous write calls
-// (which return only after the batch containing the write is applied
-// and published) or issue an explicit Flush barrier.
+// Reads (LABEL, COUNT, MEMBERS, CLASSIFY, UNCERTAIN) never reach the
+// engine. After each applied batch the engine asks its Backend to
+// Publish: the backend exports an immutable version of the view and
+// stores it where readers find it — the view's one published-version
+// slot — so reads answer lock-free from that version, scale across
+// cores and are never blocked behind maintenance. The engine itself
+// holds no version, only the count of publishes. Freshness is
+// batch-granular: a read observes the view as of the last publish.
+// Callers that need read-your-writes either use the synchronous write
+// calls (which return only after the batch containing the write is
+// applied and published) or issue an explicit Flush barrier.
 //
 // Asynchronous failures are attributed per producer session: every
 // async op carries a Token, the first error per token is retained,
@@ -108,13 +109,10 @@ const (
 // Token identifies one producer session for asynchronous-error
 // attribution: every async op is tagged with a token, the first
 // failure is recorded per token, and FlushTok(tok) collects only that
-// token's error. SharedToken is the legacy engine-wide slot used by
-// the untagged TrainAsync/AddAsync/Flush calls.
+// token's error. The caller allocates tokens; token 0 is the
+// engine-wide slot where batch-level failures (a failed publish) are
+// recorded, so sessions use nonzero tokens.
 type Token uint64
-
-// SharedToken is the engine-wide error slot shared by all untagged
-// async ops.
-const SharedToken Token = 0
 
 // op is one queued write (or barrier). done is nil for asynchronous
 // ops; otherwise it receives the op's outcome after the batch
@@ -128,8 +126,8 @@ type op struct {
 	done  chan error
 }
 
-// Engine is one view's task source on the shared maintenance pool
-// and owns the view's published snapshot. One Engine serves one view.
+// Engine is one view's write queue and its task source on the shared
+// maintenance pool. One Engine serves one view.
 type Engine struct {
 	be   Backend
 	opts Options
@@ -144,29 +142,15 @@ type Engine struct {
 
 	asyncMu   sync.Mutex
 	asyncErrs map[Token]error // first unreported error per session token
-	tokens    atomic.Uint64   // NewToken counter (token 0 is SharedToken)
 
-	snap  snapHolder
-	stats engineCounters
-}
-
-// NewToken allocates a fresh session token for async-error
-// attribution. Tokens are never reused within an engine's lifetime.
-func (e *Engine) NewToken() Token { return Token(e.tokens.Add(1)) }
-
-// Closed reports whether Close has begun: writes will return
-// ErrClosed, reads keep answering from the final snapshot. Long-lived
-// sessions use it to drop references to detached engines.
-func (e *Engine) Closed() bool {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	return e.closed
+	published atomic.Uint64 // successful Backend.Publish calls
+	stats     engineCounters
 }
 
 // New registers an engine over be as a task source on the shared
-// pool, initially parked. The initial snapshot is built synchronously
-// so reads work before the first write. No goroutine is started: an
-// idle engine costs only its queue.
+// pool, initially parked. The first version is published
+// synchronously so reads work before the first write. No goroutine is
+// started: an idle engine costs only its queue.
 func New(be Backend, opts Options) (*Engine, error) {
 	e := &Engine{
 		be:         be,
@@ -180,12 +164,11 @@ func New(be Backend, opts Options) (*Engine, error) {
 	e.opts.Metrics.GaugeFunc("hazy_engine_queue_depth",
 		"instantaneous bounded-queue occupancy", func() int64 { return int64(len(e.ops)) }, lbl...)
 	e.opts.Metrics.GaugeFunc("hazy_engine_snapshot_version",
-		"published snapshot version", func() int64 { return int64(e.snap.version.Load()) }, lbl...)
-	s, err := be.Snapshot()
-	if err != nil {
+		"published snapshot version", func() int64 { return int64(e.published.Load()) }, lbl...)
+	if err := be.Publish(); err != nil {
 		return nil, fmt.Errorf("engine: initial snapshot: %w", err)
 	}
-	e.publish(s)
+	e.published.Add(1)
 	e.task = e.opts.Pool.Register(e.quantum)
 	e.opts.Metrics.GaugeFunc("hazy_engine_runnable",
 		"task-source scheduling state (0 parked, 1 queued, 2 running)",
@@ -228,19 +211,12 @@ func (e *Engine) Train(id int64, label int) error {
 	return e.enqueueWait(op{kind: opTrain, id: id, label: label})
 }
 
-// TrainAsync enqueues a training example and returns as soon as it is
-// queued, blocking only for backpressure. A failed async op surfaces
-// through the next Flush (and Stats().Errors). The op is tagged with
-// SharedToken; sessions that need isolated error reporting use
-// TrainAsyncTok.
-func (e *Engine) TrainAsync(id int64, label int) error {
-	return e.TrainAsyncTok(SharedToken, id, label)
-}
-
-// TrainAsyncTok is TrainAsync with the op tagged by a session token:
-// if it fails, only FlushTok(tok) (or an engine-wide Flush/Drain/
-// Close) reports the error.
-func (e *Engine) TrainAsyncTok(tok Token, id int64, label int) error {
+// TrainAsync enqueues a training example tagged with the producer's
+// token and returns as soon as it is queued, blocking only for
+// backpressure. If it fails, only FlushTok(tok) — or an engine-wide
+// Flush, Drain or Close — reports the error (Stats().Errors counts it
+// either way).
+func (e *Engine) TrainAsync(tok Token, id int64, label int) error {
 	return e.enqueue(op{kind: opTrain, id: id, label: label, tok: tok})
 }
 
@@ -250,14 +226,9 @@ func (e *Engine) Add(id int64, text string) error {
 	return e.enqueueWait(op{kind: opAdd, id: id, text: text})
 }
 
-// AddAsync enqueues an entity insert and returns as soon as it is
-// queued, tagged with SharedToken.
-func (e *Engine) AddAsync(id int64, text string) error {
-	return e.AddAsyncTok(SharedToken, id, text)
-}
-
-// AddAsyncTok is AddAsync with the op tagged by a session token.
-func (e *Engine) AddAsyncTok(tok Token, id int64, text string) error {
+// AddAsync enqueues an entity insert tagged with the producer's
+// token, like TrainAsync.
+func (e *Engine) AddAsync(tok Token, id int64, text string) error {
 	return e.enqueue(op{kind: opAdd, id: id, text: text, tok: tok})
 }
 
@@ -266,8 +237,7 @@ func (e *Engine) AddAsyncTok(tok Token, id int64, text string) error {
 // issued after Flush observes all those writes. It also reports (and
 // clears) the first unreported error from any async op since the
 // previous barrier — engine-wide, across every token. Sessions that
-// must not collect each other's failures tag their async ops and use
-// FlushTok instead.
+// must not collect each other's failures use FlushTok instead.
 func (e *Engine) Flush() error {
 	if err := e.enqueueWait(op{kind: opBarrier}); err != nil {
 		return err
@@ -318,12 +288,10 @@ func (e *Engine) Drain() error {
 }
 
 // Close stops accepting writes, drains everything already queued,
-// publishes the final snapshot, and retires the task source — the
-// pool itself keeps running for the other views. Reads keep working
-// against the final snapshot. Close is idempotent; it returns the
-// first unreported async error. If the backend implements Detach, it
-// is called once after the drain so the wrapped view can resume
-// unmanaged operation.
+// publishes the final version, and retires the task source — the
+// pool itself keeps running for the other views. The backend's Detach
+// then runs once, so the wrapped view can resume unmanaged operation.
+// Close is idempotent; it returns every unreported async error.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	already := e.closed
@@ -339,11 +307,7 @@ func (e *Engine) Close() error {
 		e.task.Wake()
 	}
 	<-e.workerDone
-	e.detachOnce.Do(func() {
-		if d, ok := e.be.(interface{ Detach() }); ok {
-			d.Detach()
-		}
-	})
+	e.detachOnce.Do(e.be.Detach)
 	return e.takeAllAsyncErrs()
 }
 
@@ -393,7 +357,7 @@ func (e *Engine) noteAsyncErr(tok Token, err error) {
 }
 
 // quantum is one scheduling unit on the shared pool: drain one batch,
-// group-apply it, publish a fresh snapshot, acknowledge the batch's
+// group-apply it, publish a fresh version, acknowledge the batch's
 // waiters, and report whether more work is already queued (requeue at
 // the back of the run queue) or not (park). The pool never runs two
 // quanta of one engine concurrently, so everything below is still
@@ -431,7 +395,7 @@ func (e *Engine) fill(first op) []op {
 // maintenance sweep per run), ADD runs into ApplyAddBatch (a striped
 // view scatters the run across its stripes in parallel) — while runs
 // apply in arrival order, preserving the client-observed op order.
-// The snapshot is published once per batch, before any waiter is
+// The version is published once per batch, before any waiter is
 // signalled, so a synchronous writer's next read sees its write:
 // however many stripes worked in parallel, readers observe exactly one
 // publish barrier per batch.
@@ -442,7 +406,7 @@ func (e *Engine) apply(batch []op) {
 		// A maintenance panic fails the whole batch: every write not
 		// already carrying its own error — including ones whose group
 		// call succeeded before the panic — reports the panic, and no
-		// snapshot is published for this batch (the next successful
+		// version is published for this batch (the next successful
 		// one exposes whatever state survived). Sync waiters unblock
 		// with the error; async producers find it at their next
 		// flush. Barriers ack clean and surface the error through the
@@ -457,12 +421,12 @@ func (e *Engine) apply(batch []op) {
 
 	if mutated {
 		start := time.Now()
-		s, err := e.be.Snapshot()
+		err := e.be.Publish()
 		e.stats.publish.ObserveDuration(time.Since(start))
 		if err != nil {
-			e.noteAsyncErr(SharedToken, fmt.Errorf("engine: snapshot: %w", err))
+			e.noteAsyncErr(0, fmt.Errorf("engine: snapshot: %w", err))
 		} else {
-			e.publish(s)
+			e.published.Add(1)
 		}
 	}
 	e.stats.observeBatch(len(batch))
@@ -546,12 +510,10 @@ func (e *Engine) applyMutations(batch []op, errs []error) (mutated bool, perr er
 	// before any waiter is signalled — a synchronous writer's ack
 	// implies its row survived the crash the log protects against.
 	if mutated {
-		if c, ok := e.be.(Committer); ok {
-			if err := c.Commit(); err != nil {
-				for i := range errs {
-					if errs[i] == nil && batch[i].kind != opBarrier {
-						errs[i] = fmt.Errorf("engine: group commit: %w", err)
-					}
+		if err := e.be.Commit(); err != nil {
+			for i := range errs {
+				if errs[i] == nil && batch[i].kind != opBarrier {
+					errs[i] = fmt.Errorf("engine: group commit: %w", err)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ type memBackend struct {
 	gateEntered  chan struct{}
 	trainBatches [][]TrainOp
 	addBatches   [][]AddOp
+	pub          atomic.Pointer[core.Snapshot]
 }
 
 func featFor(text string) (vector.Vector, error) {
@@ -98,7 +100,29 @@ func (b *memBackend) ApplyAddBatch(ops []AddOp) []error {
 	return errs
 }
 
-func (b *memBackend) Snapshot() (*core.Snapshot, error) { return b.view.Snapshot() }
+func (b *memBackend) Commit() error { return nil }
+
+func (b *memBackend) Publish() error {
+	s, err := b.view.Snapshot()
+	if err != nil {
+		return err
+	}
+	b.pub.Store(s)
+	return nil
+}
+
+func (b *memBackend) Detach() {}
+
+func (b *memBackend) published() *core.Snapshot { return b.pub.Load() }
+
+// snapOf returns the version the engine last had its memBackend (or a
+// wrapper around one) publish.
+func snapOf(e *Engine) *core.Snapshot {
+	return e.be.(interface{ published() *core.Snapshot }).published()
+}
+
+// testTok tags the async ops of tests that act as one session.
+const testTok Token = 1
 
 func start(t *testing.T, be Backend, opts Options) *Engine {
 	t.Helper()
@@ -117,13 +141,13 @@ func TestReadYourWritesSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
+	if got, err := snapOf(e).Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) = %d, %v", got, err)
 	}
-	if got, err := e.Snapshot().Label(2); err != nil || got != -1 {
+	if got, err := snapOf(e).Label(2); err != nil || got != -1 {
 		t.Fatalf("Label(2) = %d, %v", got, err)
 	}
-	if n := e.Snapshot().CountMembers(); n != 2 {
+	if n := snapOf(e).CountMembers(); n != 2 {
 		t.Fatalf("CountMembers = %d, want 2", n)
 	}
 	if got := predict(e, "pos"); got != 1 {
@@ -133,7 +157,7 @@ func TestReadYourWritesSync(t *testing.T) {
 	if err := e.Add(9, "pos"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Snapshot().Label(9); err != nil || got != 1 {
+	if got, err := snapOf(e).Label(9); err != nil || got != 1 {
 		t.Fatalf("Label(9) = %d, %v", got, err)
 	}
 }
@@ -156,19 +180,19 @@ func TestSyncWriteNeverPendingAfterReturn(t *testing.T) {
 
 func TestAsyncVisibleAfterFlush(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
-	if err := e.TrainAsync(1, 1); err != nil {
+	if err := e.TrainAsync(testTok, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrainAsync(2, -1); err != nil {
+	if err := e.TrainAsync(testTok, 2, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
+	if got, err := snapOf(e).Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) after flush = %d, %v", got, err)
 	}
-	if st := e.Snapshot().Stats(); st.Updates != 2 {
+	if st := snapOf(e).Stats(); st.Updates != 2 {
 		t.Fatalf("view updates = %d, want 2", st.Updates)
 	}
 }
@@ -182,7 +206,7 @@ func TestGroupApply(t *testing.T) {
 	be.gateEntered = make(chan struct{}, 1)
 	e := start(t, be, Options{QueueSize: 128, MaxBatch: 128})
 
-	if err := e.AddAsync(10, "pos"); err != nil {
+	if err := e.AddAsync(testTok, 10, "pos"); err != nil {
 		t.Fatal(err)
 	}
 	<-be.gateEntered // maintenance goroutine is now blocked mid-batch
@@ -193,7 +217,7 @@ func TestGroupApply(t *testing.T) {
 		if id%2 == 0 {
 			label = -1
 		}
-		if err := e.TrainAsync(id, label); err != nil {
+		if err := e.TrainAsync(testTok, id, label); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,19 +252,19 @@ func TestBackpressure(t *testing.T) {
 	be.gateEntered = make(chan struct{}, 1)
 	e := start(t, be, Options{QueueSize: 2, MaxBatch: 4})
 
-	if err := e.AddAsync(10, "pos"); err != nil {
+	if err := e.AddAsync(testTok, 10, "pos"); err != nil {
 		t.Fatal(err)
 	}
 	<-be.gateEntered
 	// Queue capacity is 2: fill it while the worker is blocked.
-	if err := e.TrainAsync(1, 1); err != nil {
+	if err := e.TrainAsync(testTok, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrainAsync(2, -1); err != nil {
+	if err := e.TrainAsync(testTok, 2, -1); err != nil {
 		t.Fatal(err)
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- e.TrainAsync(3, 1) }()
+	go func() { blocked <- e.TrainAsync(testTok, 3, 1) }()
 	select {
 	case err := <-blocked:
 		t.Fatalf("enqueue on a full queue did not block (err=%v)", err)
@@ -261,7 +285,7 @@ func TestBackpressure(t *testing.T) {
 
 func TestAsyncErrorSurfacesOnFlush(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
-	if err := e.TrainAsync(777, 1); err != nil { // unknown entity
+	if err := e.TrainAsync(testTok, 777, 1); err != nil { // unknown entity
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err == nil {
@@ -282,14 +306,11 @@ func TestAsyncErrorSurfacesOnFlush(t *testing.T) {
 // sweep up whatever no session claimed.
 func TestPerTokenErrorAttribution(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
-	tok1, tok2 := e.NewToken(), e.NewToken()
-	if tok1 == tok2 || tok1 == SharedToken {
-		t.Fatalf("tokens not distinct: %d %d", tok1, tok2)
-	}
-	if err := e.TrainAsyncTok(tok1, 777, 1); err != nil { // unknown entity
+	tok1, tok2 := Token(1), Token(2)
+	if err := e.TrainAsync(tok1, 777, 1); err != nil { // unknown entity
 		t.Fatal(err)
 	}
-	if err := e.TrainAsyncTok(tok2, 1, 1); err != nil {
+	if err := e.TrainAsync(tok2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Session 2 flushes first: the barrier applies session 1's doomed
@@ -305,7 +326,7 @@ func TestPerTokenErrorAttribution(t *testing.T) {
 	}
 	// An unclaimed failure (its session never flushes) still surfaces
 	// at the engine-wide barrier so it cannot be lost.
-	if err := e.AddAsyncTok(tok2, 99, "bogus-text"); err != nil {
+	if err := e.AddAsync(tok2, 99, "bogus-text"); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err == nil {
@@ -334,16 +355,16 @@ func TestOrderPreservedAcrossKinds(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
 	// The TRAIN references an entity whose ADD is queued just before
 	// it; arrival order must be preserved across op kinds.
-	if err := e.AddAsync(20, "neg"); err != nil {
+	if err := e.AddAsync(testTok, 20, "neg"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrainAsync(20, -1); err != nil {
+	if err := e.TrainAsync(testTok, 20, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := e.Snapshot().Label(20); err != nil || got != -1 {
+	if got, err := snapOf(e).Label(20); err != nil || got != -1 {
 		t.Fatalf("Label(20) = %d, %v", got, err)
 	}
 }
@@ -356,7 +377,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		if id%2 == 0 {
 			label = -1
 		}
-		if err := e.TrainAsync(id, label); err != nil {
+		if err := e.TrainAsync(testTok, id, label); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +385,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads still work against the final snapshot and saw the drain.
-	if st := e.Snapshot().Stats(); st.Updates != 8 {
+	if st := snapOf(e).Stats(); st.Updates != 8 {
 		t.Fatalf("updates after close = %d, want 8", st.Updates)
 	}
 	if err := e.Train(1, 1); err != ErrClosed {
@@ -402,12 +423,12 @@ func TestConcurrentMix(t *testing.T) {
 				case 0:
 					err = e.Train(id, label)
 				case 1:
-					err = e.TrainAsync(id, label)
+					err = e.TrainAsync(testTok, id, label)
 				case 2:
-					_, err = e.Snapshot().Label(id)
+					_, err = snapOf(e).Label(id)
 				default:
-					e.Snapshot().CountMembers()
-					e.Snapshot().Members()
+					snapOf(e).CountMembers()
+					snapOf(e).Members()
 				}
 				if err != nil {
 					errc <- fmt.Errorf("g%d op%d: %w", g, i, err)
@@ -438,7 +459,7 @@ func TestConcurrentMix(t *testing.T) {
 // predict scores text against the published snapshot's model.
 func predict(e *Engine, text string) int {
 	f, _ := featFor(text)
-	return e.Snapshot().Model().Predict(f)
+	return snapOf(e).Model().Predict(f)
 }
 
 // TestClassifyUntrainedView: a freshly attached, never-trained view
@@ -447,17 +468,17 @@ func predict(e *Engine, text string) int {
 // while Label keeps answering from the snapshot.
 func TestClassifyUntrainedView(t *testing.T) {
 	e := start(t, newMemBackend(t), Options{})
-	if m := e.Snapshot().Model(); m == nil || m.Trained() {
+	if m := snapOf(e).Model(); m == nil || m.Trained() {
 		t.Fatalf("untrained view published model %v, want a present, untrained one", m)
 	}
-	if _, err := e.Snapshot().Label(1); err != nil {
+	if _, err := snapOf(e).Label(1); err != nil {
 		t.Fatalf("Label on untrained view: %v", err)
 	}
 	// One training example and the published model serves.
 	if err := e.Train(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Snapshot().Model().Trained() || predict(e, "pos") != 1 {
+	if !snapOf(e).Model().Trained() || predict(e, "pos") != 1 {
 		t.Fatal("after one train the published model must be trained and predict pos = +1")
 	}
 }
@@ -472,16 +493,16 @@ func TestAddBatchFolding(t *testing.T) {
 	e := start(t, be, Options{})
 	// Occupy the worker with a first add, queue five more (one bad)
 	// behind it, then release: the five must arrive as one batch.
-	if err := e.AddAsync(10, "pos"); err != nil {
+	if err := e.AddAsync(testTok, 10, "pos"); err != nil {
 		t.Fatal(err)
 	}
 	<-be.gateEntered
 	for id := int64(11); id <= 14; id++ {
-		if err := e.AddAsync(id, "pos"); err != nil {
+		if err := e.AddAsync(testTok, id, "pos"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.AddAsync(15, "bogus text"); err != nil {
+	if err := e.AddAsync(testTok, 15, "bogus text"); err != nil {
 		t.Fatal(err)
 	}
 	be.gate <- struct{}{}
@@ -501,11 +522,11 @@ func TestAddBatchFolding(t *testing.T) {
 	}
 	// The good adds all landed and are readable.
 	for id := int64(10); id <= 14; id++ {
-		if _, err := e.Snapshot().Label(id); err != nil {
+		if _, err := snapOf(e).Label(id); err != nil {
 			t.Fatalf("Label(%d): %v", id, err)
 		}
 	}
-	if _, err := e.Snapshot().Label(15); err == nil {
+	if _, err := snapOf(e).Label(15); err == nil {
 		t.Fatal("the failed add must not be visible")
 	}
 }

@@ -20,7 +20,7 @@ func TestDrainTerminatesUnderSustainedEnqueue(t *testing.T) {
 
 	// The prefix Drain must guarantee.
 	for i := 0; i < 20; i++ {
-		if err := e.TrainAsync(1, 1); err != nil {
+		if err := e.TrainAsync(testTok, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestDrainTerminatesUnderSustainedEnqueue(t *testing.T) {
 				default:
 				}
 				// Sustained enqueue; errors after close are fine.
-				_ = e.TrainAsync(1, 1)
+				_ = e.TrainAsync(testTok, 1, 1)
 			}
 		}()
 	}
@@ -93,7 +93,7 @@ func TestColdViewFlushBoundedByHotFlood(t *testing.T) {
 					return
 				default:
 				}
-				_ = hot.TrainAsync(1, 1)
+				_ = hot.TrainAsync(testTok, 1, 1)
 			}
 		}()
 	}
@@ -104,7 +104,7 @@ func TestColdViewFlushBoundedByHotFlood(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		begin := time.Now()
-		if err := cold.FlushTok(cold.NewToken()); err != nil {
+		if err := cold.FlushTok(testTok); err != nil {
 			t.Fatal(err)
 		}
 		if d := time.Since(begin); d > 10*time.Second {
@@ -142,11 +142,10 @@ func TestMaintenancePanicFailsBatchNotProcess(t *testing.T) {
 		t.Fatalf("sync Train under panic = %v, want maintenance panic error", err)
 	}
 
-	tok := e.NewToken()
-	if err := e.TrainAsyncTok(tok, 2, -1); err != nil {
+	if err := e.TrainAsync(testTok, 2, -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FlushTok(tok); err == nil || !strings.Contains(err.Error(), "maintenance panic") {
+	if err := e.FlushTok(testTok); err == nil || !strings.Contains(err.Error(), "maintenance panic") {
 		t.Fatalf("FlushTok after async panic = %v, want maintenance panic error", err)
 	}
 
@@ -158,7 +157,7 @@ func TestMaintenancePanicFailsBatchNotProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := e.Snapshot().Label(1); err != nil || got != 1 {
+	if got, err := snapOf(e).Label(1); err != nil || got != 1 {
 		t.Fatalf("Label(1) after recovery = %d, %v", got, err)
 	}
 	if err := e.Close(); err != nil {
@@ -185,7 +184,7 @@ func TestManyEnginesShareOnePool(t *testing.T) {
 		go func(e *Engine) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if err := e.TrainAsync(int64(j%4+1), 1); err != nil {
+				if err := e.TrainAsync(testTok, int64(j%4+1), 1); err != nil {
 					t.Error(err)
 					return
 				}

@@ -75,7 +75,7 @@ type Stats struct {
 	// bucket i counts batches of size [2^i, 2^(i+1)), the last bucket
 	// everything ≥ 128.
 	BatchHist [histBuckets]uint64
-	// SnapshotVersion increments at every published snapshot.
+	// SnapshotVersion counts the versions the engine has published.
 	SnapshotVersion uint64
 }
 
@@ -90,7 +90,7 @@ func (e *Engine) Stats() Stats {
 		Batches:         e.stats.batches.Load(),
 		MaxBatch:        uint64(e.stats.maxBatch.Load()),
 		Errors:          e.stats.errors.Load(),
-		SnapshotVersion: e.snap.version.Load(),
+		SnapshotVersion: e.published.Load(),
 	}
 	if s.Enqueued > s.Applied {
 		s.Pending = s.Enqueued - s.Applied

@@ -273,9 +273,6 @@ func (b *Batch) Value(r, c int) Value {
 // Int returns integer cell (r, c).
 func (b *Batch) Int(r, c int) int64 { return b.vec(c).ints[r] }
 
-// Float returns float cell (r, c).
-func (b *Batch) Float(r, c int) float64 { return b.vec(c).floats[r] }
-
 // Num returns cell (r, c) as a float64 for numeric comparison.
 func (b *Batch) Num(r, c int) float64 {
 	v := b.vec(c)
@@ -291,14 +288,4 @@ func (b *Batch) RenderRow(r int, dst []string) {
 	for c := range dst {
 		dst[c] = b.Value(r, c).Render()
 	}
-}
-
-// RowAt materializes row r as a Row — the row-at-a-time adapter for
-// callers that still think in tuples (tests, the naive fallback).
-func (b *Batch) RowAt(r int) Row {
-	row := make(Row, b.Width())
-	for c := range row {
-		row[c] = b.Value(r, c)
-	}
-	return row
 }

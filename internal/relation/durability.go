@@ -177,9 +177,9 @@ func (db *DB) replayMutation(payload []byte) error {
 	if op == walShipped {
 		// A replica's journal of an applied primary record: track the
 		// resume cursor, then redo the wrapped record idempotently.
-		pos, inner, err := decodeShipped(body)
+		pos, inner, err := wal.DecodePosFrame(body)
 		if err != nil {
-			return err
+			return fmt.Errorf("relation: shipped record: %w", err)
 		}
 		if db.shipped.Before(pos) {
 			db.shipped = pos

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,27 +39,6 @@ const (
 // files, and the replica maintains its own.
 func Shippable(payload []byte) bool {
 	return len(payload) > 0 && payload[0] != walImage
-}
-
-// encodeShipped frames a walShipped body: the primary resume position
-// followed by the record payload it covers.
-func encodeShipped(resume wal.Pos, payload []byte) []byte {
-	buf := make([]byte, 12+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], resume.Seg)
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(resume.Off))
-	copy(buf[12:], payload)
-	return buf
-}
-
-func decodeShipped(body []byte) (wal.Pos, []byte, error) {
-	if len(body) < 12 {
-		return wal.Pos{}, nil, fmt.Errorf("relation: shipped record body of %d bytes", len(body))
-	}
-	pos := wal.Pos{
-		Seg: binary.LittleEndian.Uint32(body[0:4]),
-		Off: int64(binary.LittleEndian.Uint64(body[4:12])),
-	}
-	return pos, body[12:], nil
 }
 
 // Log exposes the write-ahead log for shipping (a Follower per
@@ -126,9 +104,9 @@ func (db *DB) ApplyShipped(resume wal.Pos, payload []byte) (meta []byte, err err
 	// A promoted replica's log wraps what it applied; if this primary
 	// was once a replica itself, unwrap down to the original record.
 	for op == walShipped {
-		_, inner, derr := decodeShipped(body)
+		_, inner, derr := wal.DecodePosFrame(body)
 		if derr != nil {
-			return nil, derr
+			return nil, fmt.Errorf("relation: shipped record: %w", derr)
 		}
 		payload = inner
 		if op, name, body, err = decodeMutation(payload); err != nil {
@@ -142,7 +120,7 @@ func (db *DB) ApplyShipped(resume wal.Pos, payload []byte) (meta []byte, err err
 		return nil, nil
 	}
 	if db.log != nil {
-		if _, aerr := db.log.Append(encodeMutation(walShipped, "", encodeShipped(resume, payload))); aerr != nil {
+		if _, aerr := db.log.Append(encodeMutation(walShipped, "", wal.EncodePosFrame(resume, payload))); aerr != nil {
 			db.ckptMu.RUnlock()
 			return nil, aerr
 		}

@@ -231,9 +231,9 @@ func (a *Applier) session(conn net.Conn) error {
 		}
 		switch typ {
 		case msgRecord:
-			resume, payload, err := decodeRecord(body)
+			resume, payload, err := wal.DecodePosFrame(body)
 			if err != nil {
-				return err
+				return fmt.Errorf("replica: record: %w", err)
 			}
 			if err := a.target.Apply(resume, payload); err != nil {
 				return fmt.Errorf("replica: apply at seg %d off %d: %w", resume.Seg, resume.Off, err)

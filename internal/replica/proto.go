@@ -100,26 +100,6 @@ func readMsg(r *bufio.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// encodeRecord frames a shipped WAL record with its resume position.
-func encodeRecord(resume wal.Pos, payload []byte) []byte {
-	buf := make([]byte, 12+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], resume.Seg)
-	binary.LittleEndian.PutUint64(buf[4:12], uint64(resume.Off))
-	copy(buf[12:], payload)
-	return buf
-}
-
-func decodeRecord(body []byte) (wal.Pos, []byte, error) {
-	if len(body) < 12 {
-		return wal.Pos{}, nil, fmt.Errorf("replica: record frame of %d bytes", len(body))
-	}
-	pos := wal.Pos{
-		Seg: binary.LittleEndian.Uint32(body[0:4]),
-		Off: int64(binary.LittleEndian.Uint64(body[4:12])),
-	}
-	return pos, body[12:], nil
-}
-
 // encodeSnapFile frames one image file: [2B name len][name][data].
 func encodeSnapFile(name string, data []byte) []byte {
 	buf := make([]byte, 2+len(name)+len(data))

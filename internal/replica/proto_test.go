@@ -59,8 +59,8 @@ func TestReadMsg(t *testing.T) {
 
 func TestDecodeRecord(t *testing.T) {
 	for n := 0; n < 12; n++ {
-		if _, _, err := decodeRecord(make([]byte, n)); err == nil {
-			t.Fatalf("decodeRecord accepted a %d-byte body", n)
+		if _, _, err := wal.DecodePosFrame(make([]byte, n)); err == nil {
+			t.Fatalf("DecodePosFrame accepted a %d-byte body", n)
 		}
 	}
 	for _, tc := range []struct {
@@ -71,7 +71,7 @@ func TestDecodeRecord(t *testing.T) {
 		{wal.Pos{Seg: 1, Off: 16}, []byte{1, 2, 3}},
 		{wal.Pos{Seg: 1<<32 - 1, Off: 1<<63 - 1}, bytes.Repeat([]byte("r"), 1000)},
 	} {
-		pos, payload, err := decodeRecord(encodeRecord(tc.pos, tc.payload))
+		pos, payload, err := wal.DecodePosFrame(wal.EncodePosFrame(tc.pos, tc.payload))
 		if err != nil || pos != tc.pos || !bytes.Equal(payload, tc.payload) {
 			t.Fatalf("round trip of %+v/%d bytes = %+v, %d bytes, %v", tc.pos, len(tc.payload), pos, len(payload), err)
 		}
@@ -106,7 +106,7 @@ func TestDecodeSnapFile(t *testing.T) {
 // bytes it came from.
 func FuzzReplicaFrame(f *testing.F) {
 	var seed bytes.Buffer
-	writeMsg(&seed, msgRecord, encodeRecord(wal.Pos{Seg: 1, Off: 40}, []byte("insert")))
+	writeMsg(&seed, msgRecord, wal.EncodePosFrame(wal.Pos{Seg: 1, Off: 40}, []byte("insert")))
 	writeMsg(&seed, msgSnapFile, encodeSnapFile("MANIFEST", []byte("{}")))
 	f.Add(seed.Bytes())
 	f.Add(frame(msgRecord, maxMsg+1, nil))
@@ -129,8 +129,8 @@ func FuzzReplicaFrame(f *testing.F) {
 				}
 				return
 			}
-			if pos, payload, err := decodeRecord(body); err == nil {
-				if !bytes.Equal(encodeRecord(pos, payload), body) {
+			if pos, payload, err := wal.DecodePosFrame(body); err == nil {
+				if !bytes.Equal(wal.EncodePosFrame(pos, payload), body) {
 					t.Fatalf("record % x does not re-encode", body)
 				}
 			}

@@ -178,7 +178,7 @@ func (s *Shipper) ship(conn net.Conn) error {
 			continue
 		}
 		if relation.Shippable(payload) {
-			if err := writeMsg(w, msgRecord, encodeRecord(f.Pos(), payload)); err != nil {
+			if err := writeMsg(w, msgRecord, wal.EncodePosFrame(f.Pos(), payload)); err != nil {
 				return err
 			}
 			s.m.ShipRecords.Inc()

@@ -36,10 +36,11 @@
 // Which state serves a view is decided per statement by
 // hazy.Session.Bind, not by the server: a view with a maintenance
 // engine attached (hazy.DB.AttachEngine, or the SQL statement ATTACH
-// ENGINE TO <view>) binds the engine's published snapshot, and a
-// replica's main-memory view binds the snapshot its applier
-// republishes. Verbs on such a binding run lock-free — reads from the
-// snapshot, engine writes through the batched queue — while verbs on
+// ENGINE TO <view>) and a replica's main-memory view bind the view's
+// published version, which the engine republishes after every batch
+// and the replica's applier after every commit. Verbs on such a
+// binding run lock-free — reads from the version, engine writes
+// through the batched queue — while verbs on
 // live views and SQL planning serialize behind the server's statement
 // mutex, one at a time, like the seed's single-session server. TRAIN
 // and ADD stay synchronous everywhere

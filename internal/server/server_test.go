@@ -559,6 +559,56 @@ func TestConcurrentTrainAndLabel(t *testing.T) {
 	}
 }
 
+// TestAttachDetachChurn: a view's engine attaches and detaches in a
+// loop while verbs run against the view. Each verb binds whatever
+// owns the view at that moment — the engine's published version, or
+// the live structure behind the statement mutex — so no write is
+// refused as read-only and nothing panics; under -race it checks that
+// the view changes hands without an unsynchronized access.
+func TestAttachDetachChurn(t *testing.T) {
+	db, _ := startDB(t, false)
+	srv := New(db, Options{DefaultView: "labeled"})
+	const n = 60
+	for id := 1; id <= n; id++ {
+		if out, _ := srv.Exec(fmt.Sprintf("ADD %d relational database paper %d", id, id)); out != "OK" {
+			t.Fatalf("ADD %d = %q", id, out)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sess := db.NewSession()
+		mu := db.StatementMu()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, stmt := range []string{"ATTACH ENGINE TO labeled", "DETACH ENGINE FROM labeled"} {
+				mu.Lock()
+				_, err := sess.Exec(stmt)
+				mu.Unlock()
+				if err != nil {
+					t.Errorf("%s: %v", stmt, err)
+					return
+				}
+			}
+		}
+	}()
+	for id := 1; id <= n; id++ {
+		for _, line := range []string{fmt.Sprintf("TRAIN %d %+d", id, 1-2*(id%2)), fmt.Sprintf("LABEL %d", id), "STATS"} {
+			if out, _ := srv.Exec(line); strings.Contains(out, "read-only") {
+				t.Errorf("%s = %q", line, out)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 // TestStatsLineStableOrder pins the engine-counter section of the
 // STATS response byte for byte: external scrapers parse this line
 // with fixed key positions, so the key set, ordering, and formatting

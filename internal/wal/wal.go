@@ -112,6 +112,31 @@ func (p Pos) Before(q Pos) bool {
 	return p.Seg < q.Seg || (p.Seg == q.Seg && p.Off < q.Off)
 }
 
+// EncodePosFrame frames payload behind a position:
+// [4B seg][8B off][payload], little-endian. A primary ships each WAL
+// record in this frame with the position a replica resumes from, and
+// the replica journals it the same way.
+func EncodePosFrame(pos Pos, payload []byte) []byte {
+	buf := make([]byte, 12+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], pos.Seg)
+	binary.LittleEndian.PutUint64(buf[4:12], uint64(pos.Off))
+	copy(buf[12:], payload)
+	return buf
+}
+
+// DecodePosFrame splits an EncodePosFrame body; the payload aliases
+// body.
+func DecodePosFrame(body []byte) (Pos, []byte, error) {
+	if len(body) < 12 {
+		return Pos{}, nil, fmt.Errorf("wal: position frame of %d bytes", len(body))
+	}
+	pos := Pos{
+		Seg: binary.LittleEndian.Uint32(body[0:4]),
+		Off: int64(binary.LittleEndian.Uint64(body[4:12])),
+	}
+	return pos, body[12:], nil
+}
+
 // Options configures a Log.
 type Options struct {
 	// SegmentBytes caps a segment file before rotation (default

@@ -79,39 +79,52 @@ func TestManyViewsChurnRace(t *testing.T) {
 		go func(vi int, name string) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				eng, err := db.AttachEngine(name, root.EngineOptions{QueueSize: 64, MaxBatch: 16})
-				if err != nil {
+				if _, err := db.AttachEngine(name, root.EngineOptions{QueueSize: 64, MaxBatch: 16}); err != nil {
 					t.Errorf("attach %s round %d: %v", name, r, err)
 					return
 				}
-				tok := eng.NewToken()
+				sess := db.NewSession()
+				bv, err := sess.Bind(name)
+				if err != nil {
+					t.Errorf("bind %s round %d: %v", name, r, err)
+					return
+				}
 				for j := 0; j < 8; j++ {
 					id := nextID.Add(1)
-					if err := eng.AddAsyncTok(tok, id, "incremental maintenance of views"); err != nil {
+					if err := bv.AddAsync(id, "incremental maintenance of views"); err != nil {
 						t.Errorf("%s add: %v", name, err)
 						return
 					}
 					// Order is preserved across kinds, so training the
 					// just-queued entity is safe; fresh ids keep the
 					// examples table collision-free across rounds.
-					if err := eng.TrainAsyncTok(tok, id, 1-2*(j%2)); err != nil {
+					if err := bv.TrainAsync(id, 1-2*(j%2)); err != nil {
 						t.Errorf("%s train: %v", name, err)
 						return
 					}
 					// Reads interleave with scheduled maintenance,
-					// lock-free from the published snapshot.
-					if _, err := eng.Snapshot().Label(int64(j%4 + 1)); err != nil {
+					// lock-free from the published version.
+					rv, err := sess.Bind(name)
+					if err == nil {
+						_, err = rv.Label(int64(j%4 + 1))
+					}
+					if err != nil {
 						t.Errorf("%s label: %v", name, err)
 						return
 					}
 				}
-				if err := eng.FlushTok(tok); err != nil {
+				if err := bv.Flush(); err != nil {
 					t.Errorf("%s flush: %v", name, err)
 					return
 				}
 				// Read-your-writes: everything flushed is visible.
-				if n := eng.Snapshot().CountMembers(); n <= 0 {
-					t.Errorf("%s members after flush = %d", name, n)
+				rv, err := sess.Bind(name)
+				n := 0
+				if err == nil {
+					n, err = rv.CountMembers()
+				}
+				if err != nil || n <= 0 {
+					t.Errorf("%s members after flush = %d, %v", name, n, err)
 					return
 				}
 				if err := db.DetachEngine(name); err != nil {
@@ -162,8 +175,13 @@ func TestManyViewsGoroutineBudget(t *testing.T) {
 	}
 
 	// Drive them all, then re-check at quiescence.
-	for _, eng := range engines {
-		if err := eng.TrainAsync(1, 1); err != nil {
+	sess := db.NewSession()
+	for _, name := range names {
+		bv, err := sess.Bind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bv.TrainAsync(1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

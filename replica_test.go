@@ -16,6 +16,7 @@ import (
 	"time"
 
 	root "hazy"
+	"hazy/internal/feature"
 	"hazy/internal/server"
 	"hazy/internal/wal"
 )
@@ -515,4 +516,69 @@ func TestReplicaVerbsDuringApply(t *testing.T) {
 		}
 	}
 	assertEquivalent(t, prim, rep, "after concurrent verbs")
+}
+
+// TestReplicaParksCustomViewOnce: every DDL on the primary ships the
+// whole catalog manifest again, so a replica lacking a view's custom
+// feature function meets its declaration once per shipped record. The
+// view must park once, and recover once the function is registered.
+func TestReplicaParksCustomViewOnce(t *testing.T) {
+	opts := root.OpenOptions{Fsync: "off"}
+	prim, err := root.OpenWith(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	shipper, err := prim.StartShipping("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repdir := t.TempDir()
+	if err := root.BootstrapReplica(repdir, shipper.Addr(), opts); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := root.OpenWith(repdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := rep.StartReplica(shipper.Addr(), t.Logf); err != nil {
+		t.Fatal(err)
+	}
+
+	custom := func() feature.Func { return feature.NewTFIDF() }
+	prim.Registry().Register("custom_tfidf", custom)
+	sess := prim.NewSession()
+	for _, q := range []string{
+		"CREATE TABLE papers (id BIGINT, title TEXT) KEY id",
+		"CREATE TABLE feedback (id BIGINT, label BIGINT) KEY id",
+		"INSERT INTO papers VALUES (1, 'relational database query optimization')",
+		`CREATE CLASSIFICATION VIEW v KEY id
+			ENTITIES FROM papers KEY id EXAMPLES FROM feedback KEY id LABEL label
+			FEATURE FUNCTION custom_tfidf`,
+		"CREATE TABLE more_papers (id BIGINT, title TEXT) KEY id",
+		"CREATE TABLE more_feedback (id BIGINT, label BIGINT) KEY id",
+	} {
+		if _, err := sess.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	waitApplied(t, rep, prim.WALEnd(), "custom view DDL")
+	// The applier reconciles a record's manifest under the statement
+	// mutex after advancing its position; taking the mutex waits it out.
+	rep.StatementMu().Lock()
+	rep.StatementMu().Unlock()
+	if got := rep.PendingViews(); !slices.Equal(got, []string{"v"}) {
+		t.Fatalf("PendingViews = %v, want [v]", got)
+	}
+	rep.Registry().Register("custom_tfidf", custom)
+	if err := rep.RecoverPendingViews(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.PendingViews(); len(got) != 0 {
+		t.Fatalf("PendingViews after recovery = %v, want none", got)
+	}
+	if _, err := rep.View("v"); err != nil {
+		t.Fatal(err)
+	}
 }

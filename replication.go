@@ -222,8 +222,11 @@ func (db *DB) applyMeta(body []byte) error {
 		}
 	}
 	for _, mv := range m.Views {
+		// A parked view waits for RecoverPendingViews, even once its
+		// function is registered.
 		db.mu.RLock()
 		_, have := db.views[mv.Name]
+		have = have || db.parkedLocked(mv.Name)
 		db.mu.RUnlock()
 		if have {
 			continue
@@ -232,17 +235,7 @@ func (db *DB) applyMeta(body []byte) error {
 		if err != nil {
 			return err
 		}
-		ffName := spec.FeatureFunction
-		if ffName == "" {
-			ffName = "tf_bag_of_words"
-		}
-		if !db.registry.Has(ffName) {
-			db.mu.Lock()
-			db.pending = append(db.pending, spec)
-			db.mu.Unlock()
-			continue
-		}
-		if _, err := db.createClassificationView(spec, true); err != nil {
+		if err := db.declareOrDefer(spec, true); err != nil {
 			return fmt.Errorf("hazy: reconcile view %q: %w", mv.Name, err)
 		}
 	}

@@ -24,7 +24,7 @@ type Result struct {
 // Session is the database's front door: it executes SQL statements
 // (the paper's §2.1 dialect) against the whole catalog and carries
 // the per-session state the statement surface needs — the default
-// view for unqualified commands and the engine tokens that keep one
+// view for unqualified commands and the engine token that keeps one
 // session's asynchronous write failures from surfacing in another
 // session's FLUSH.
 //
@@ -38,14 +38,15 @@ type Result struct {
 type Session struct {
 	db *DB
 
+	tok engine.Token // tags this session's async ops on every engine
+
 	mu      sync.RWMutex
 	defView string
-	toks    map[*engine.Engine]engine.Token
 }
 
 // NewSession opens a session over the database.
 func (db *DB) NewSession() *Session {
-	return &Session{db: db, toks: map[*engine.Engine]engine.Token{}}
+	return &Session{db: db, tok: engine.Token(db.sessions.Add(1))}
 }
 
 // DB returns the session's database.
@@ -76,31 +77,10 @@ func (s *Session) DefaultView() string {
 	return s.defView
 }
 
-// token returns this session's error-attribution token for eng,
-// allocating it on first use. Entries for engines that have since
-// been closed (detach/re-attach cycles) are pruned so a long-lived
-// session does not pin dead engines and their final snapshots.
-func (s *Session) token(eng *engine.Engine) engine.Token {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for old := range s.toks {
-		if old != eng && old.Closed() {
-			delete(s.toks, old)
-		}
-	}
-	tok, ok := s.toks[eng]
-	if !ok {
-		tok = eng.NewToken()
-		s.toks[eng] = tok
-	}
-	return tok
-}
-
 // BoundView is a view handle resolved once, and the one place that
-// decides which state answers the view's reads: the engine's
-// published snapshot when an engine is attached, a replica's
-// republished snapshot while a shipped stream is applied, and the
-// live structure otherwise. The SQL catalog, every wire verb and Go
+// decides which state answers the view's reads: the view's published
+// version while an engine or a replica's applier owns the view, and
+// the live structure otherwise. The SQL catalog, every wire verb and Go
 // callers read through the same binding, so they cannot disagree
 // about it, and a concurrent attach or detach cannot split a caller's
 // decision from its operations. If the bound engine has since been
@@ -130,17 +110,17 @@ func (s *Session) Bind(view string) (*BoundView, error) {
 	if name == "" {
 		return nil, fmt.Errorf("hazy: no view named and no default view set (USE <view>)")
 	}
-	cv, eng, err := s.db.viewAndEngine(name)
+	cv, err := s.db.View(name)
 	if err != nil {
 		return nil, err
 	}
-	bv := &BoundView{s: s, cv: cv, eng: eng}
-	if eng != nil {
-		bv.snap = eng.Snapshot()
-	} else {
-		// On a replica the applier owns the live structure; reads
-		// come from the snapshot it republishes after every batch
-		// (nil on a primary).
+	bv := &BoundView{s: s, cv: cv, eng: cv.eng.Load()}
+	// Only the owner of the live structure — an attached engine, or a
+	// replica's applier — makes its published version the one to read.
+	// An engine publishes its first version before it is stored in
+	// cv.eng; until then the view still binds live, so a write takes
+	// the caller's serialization instead of a read-only refusal.
+	if bv.eng != nil || s.db.readOnly.Load() {
 		bv.snap = cv.pub.Load()
 	}
 	if bv.snap != nil {
@@ -225,7 +205,7 @@ func (bv *BoundView) TrainAsync(id int64, label int) error {
 	if bv.eng == nil {
 		return fmt.Errorf("hazy: view %q has no engine attached (async writes need one)", bv.cv.Name())
 	}
-	return bv.eng.TrainAsyncTok(bv.s.token(bv.eng), id, label)
+	return bv.eng.TrainAsync(bv.s.tok, id, label)
 }
 
 // AddAsync enqueues an entity insert, tagged with the owning
@@ -234,7 +214,7 @@ func (bv *BoundView) AddAsync(id int64, text string) error {
 	if bv.eng == nil {
 		return fmt.Errorf("hazy: view %q has no engine attached (async writes need one)", bv.cv.Name())
 	}
-	return bv.eng.AddAsyncTok(bv.s.token(bv.eng), id, text)
+	return bv.eng.AddAsync(bv.s.tok, id, text)
 }
 
 // Flush is the owning session's barrier on the view's engine: every
@@ -245,20 +225,24 @@ func (bv *BoundView) Flush() error {
 	if bv.eng == nil {
 		return fmt.Errorf("hazy: view %q has no engine attached (nothing to flush)", bv.cv.Name())
 	}
-	return bv.eng.FlushTok(bv.s.token(bv.eng))
+	return bv.eng.FlushTok(bv.s.tok)
 }
 
 // ViewStats returns the view's maintenance counters (as captured in
-// the bound snapshot, if any) plus the engine's serving counters
+// the bound version, if any) plus the engine's serving counters
 // rendered as a string ("" when unmanaged).
 func (bv *BoundView) ViewStats() (Stats, string) {
-	if bv.eng != nil {
-		return bv.snap.Stats(), bv.eng.Stats().String()
-	}
+	var st Stats
 	if bv.snap != nil {
-		return bv.snap.Stats(), ""
+		st = bv.snap.Stats()
+	} else {
+		st = bv.cv.Stats()
 	}
-	return bv.cv.Stats(), ""
+	var es string
+	if bv.eng != nil {
+		es = bv.eng.Stats().String()
+	}
+	return st, es
 }
 
 // Exec parses and executes one SQL statement against the catalog,

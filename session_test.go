@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hazy/internal/core"
 	"hazy/internal/feature"
 	"hazy/internal/learn"
 )
@@ -516,6 +517,100 @@ func TestPerSessionFlushEmbedded(t *testing.T) {
 	}
 	if label, err := mustBind(t, s2, "v").Label(1); err != nil || label != 1 {
 		t.Fatalf("Label = %d, %v", label, err)
+	}
+
+	// Across a detach and a re-attach each session keeps its token: on
+	// the new engine a failure still reaches only its own session.
+	if err := db.DetachEngine("v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AttachEngine("v", EngineOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b1, b2 = mustBind(t, s1, "v"), mustBind(t, s2, "v")
+	if err := b2.TrainAsync(998, 1); err != nil { // unknown entity: fails at apply
+		t.Fatal(err)
+	}
+	if err := b1.AddAsync(2, "operating system kernel scheduling"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.Flush(); err != nil {
+		t.Fatalf("after re-attach, session 1 flush collected a foreign error: %v", err)
+	}
+	if err := b2.Flush(); err == nil {
+		t.Fatal("after re-attach, session 2 flush lost its own error")
+	}
+	if err := b2.Flush(); err != nil {
+		t.Fatalf("after re-attach, error reported twice: %v", err)
+	}
+}
+
+// TestBindReadsOwnersVersion: Bind serves reads from the view's
+// published version only while an owner — an attached engine or a
+// replica's applier — mutates the live structure. AttachEngine
+// publishes the engine's first version before it stores the engine;
+// a primary view caught in that state must still bind live, so its
+// writes are applied instead of refused as read-only.
+func TestBindReadsOwnersVersion(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE p (id BIGINT, txt TEXT) KEY id")
+	mustExec(t, s, "CREATE TABLE fb (id BIGINT, label BIGINT) KEY id")
+	mustExec(t, s, "INSERT INTO p VALUES (1,'alpha beta'),(2,'gamma delta')")
+	mustExec(t, s, `CREATE CLASSIFICATION VIEW v KEY id
+		ENTITIES FROM p KEY id EXAMPLES FROM fb KEY id LABEL l
+		FEATURE FUNCTION tf_bag_of_words`)
+	db := s.DB()
+	cv, err := db.View("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, err := cv.view.(core.Snapshotter).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name                string
+		published, readOnly bool
+		live                bool
+	}{
+		{"primary", false, false, true},
+		{"primary with a published version", true, false, true},
+		{"replica", true, true, false},
+		{"replica without a published version", false, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.published {
+				cv.pub.Store(version)
+			}
+			db.readOnly.Store(tc.readOnly)
+			defer func() {
+				cv.pub.Store(nil)
+				db.readOnly.Store(false)
+			}()
+			bv := mustBind(t, s, "v")
+			if bv.Live() != tc.live {
+				t.Fatalf("Live() = %v, want %v", bv.Live(), tc.live)
+			}
+			if !tc.live && bv.snap != version {
+				t.Fatal("bound a version other than the published one")
+			}
+		})
+	}
+	// The primary binds live with a version published: its TRAIN is
+	// applied to the view.
+	cv.pub.Store(version)
+	err = mustBind(t, s, "v").Train(1, 1)
+	cv.pub.Store(nil)
+	if err != nil {
+		t.Fatalf("TRAIN on a primary with a published version: %v", err)
+	}
+	if got := cv.Stats().Updates; got != 1 {
+		t.Fatalf("updates = %d, want 1", got)
+	}
+	// With an engine attached, Bind reads the version it published.
+	mustExec(t, s, "ATTACH ENGINE TO v")
+	if bv := mustBind(t, s, "v"); bv.Live() || bv.snap != cv.pub.Load() {
+		t.Fatal("an engined view did not bind its published version")
 	}
 }
 
