@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"hazy/internal/btree"
 	"hazy/internal/learn"
 	"hazy/internal/storage"
 	"hazy/internal/vector"
@@ -92,14 +93,35 @@ func (s *diskStripeStore) Rebuild(epsOf func(f vector.Vector) float64) error {
 	return s.dt.Rebuild(epsOf)
 }
 
+// SweepBand walks the band in (eps, id) order through one heap page
+// run: each page is pinned once per run of band rows it holds, each
+// inline record's vector is decoded into one reused scratch, and a
+// changed label is written into the record's class byte in place under
+// that pin — the paper's copy-free class update (App. B.1). Overflow
+// records, rare and spread over several pages, are read with Get and
+// patched through their chain instead.
 func (s *diskStripeStore) SweepBand(lo, hi float64, predict func(f vector.Vector) int) (int, error) {
+	run := s.dt.heap.Run()
+	defer run.Close()
+	var f vector.Vector
 	n := 0
-	err := s.dt.ScanBand(lo, hi, func(rid storage.RID, _ int64, _ float64, class int, f vector.Vector) error {
+	err := s.dt.tree.Range(lo, hi, func(_ btree.Key, rid storage.RID) (bool, error) {
 		n++
-		if nl := predict(f); nl != class {
-			return s.dt.PatchClass(rid, nl)
+		rec, inline, err := run.Record(rid)
+		if err != nil {
+			return false, err
 		}
-		return nil
+		if !inline {
+			return true, s.dt.sweepOverflow(rid, predict)
+		}
+		if err := decodeVectorInto(&f, rec); err != nil {
+			return false, err
+		}
+		if b := classByte(predict(f)); rec[recClassOff] != b {
+			rec[recClassOff] = b
+			run.MarkDirty()
+		}
+		return true, nil
 	})
 	return n, err
 }
@@ -108,16 +130,15 @@ func (s *diskStripeStore) ScanKeysAbove(hi float64, fn func(id int64) error) err
 	return s.dt.ScanKeysAbove(hi, fn)
 }
 
+// CountRange counts the band's index entries with one walk over
+// [lo, hi].
 func (s *diskStripeStore) CountRange(lo, hi float64) (int, error) {
-	n, err := s.dt.CountAbove(lo)
-	if err != nil {
-		return 0, err
-	}
-	above, err := s.dt.CountAbove(math.Nextafter(hi, math.Inf(1)))
-	if err != nil {
-		return 0, err
-	}
-	return n - above, nil
+	n := 0
+	err := s.dt.tree.Range(lo, hi, func(btree.Key, storage.RID) (bool, error) {
+		n++
+		return true, nil
+	})
+	return n, err
 }
 
 func (s *diskStripeStore) NearestZero(k int) ([]SnapEntry, error) {

@@ -33,12 +33,16 @@ func encodeRecord(id int64, eps float64, class int, f vector.Vector) []byte {
 	buf := make([]byte, 0, recVecOff+f.EncodedSize())
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(eps))
-	if class > 0 {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, classByte(class))
 	return f.Encode(buf)
+}
+
+// classByte is the stored form of a ±1 label.
+func classByte(class int) byte {
+	if class > 0 {
+		return 1
+	}
+	return 0
 }
 
 func decodeClass(b byte) int {
@@ -54,6 +58,17 @@ func decodeEps(rec []byte) (float64, error) {
 		return 0, fmt.Errorf("core: short disk record (%d bytes)", len(rec))
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(rec[recEpsOff:])), nil
+}
+
+// decodeVectorInto decodes rec's feature vector into dst, reusing
+// dst's capacity: the allocation-free form for scans that predict one
+// row at a time and keep nothing.
+func decodeVectorInto(dst *vector.Vector, rec []byte) error {
+	if len(rec) < recVecOff {
+		return fmt.Errorf("core: short disk record (%d bytes)", len(rec))
+	}
+	_, err := vector.DecodeInto(dst, rec[recVecOff:])
+	return err
 }
 
 func decodeRecord(rec []byte) (id int64, eps float64, class int, f vector.Vector, err error) {
@@ -194,10 +209,7 @@ func (dt *diskTable) Get(id int64) (eps float64, class int, f vector.Vector, err
 		return 0, 0, vector.Vector{}, fmt.Errorf("core: no entity %d", id)
 	}
 	err = dt.heap.View(rid, func(rec []byte) error {
-		_, eps, class, f, err = decodeRecord(rec)
-		if err == nil {
-			f = f.Clone() // rec aliases the pinned page
-		}
+		_, eps, class, f, err = decodeRecord(rec) // f is freshly allocated
 		return err
 	})
 	return eps, class, f, err
@@ -219,46 +231,37 @@ func (dt *diskTable) GetClass(id int64) (int, error) {
 
 // PatchClass updates the class byte in place.
 func (dt *diskTable) PatchClass(rid storage.RID, class int) error {
-	b := byte(0)
-	if class > 0 {
-		b = 1
-	}
-	return dt.heap.Patch(rid, recClassOff, []byte{b})
+	return dt.heap.Patch(rid, recClassOff, []byte{classByte(class)})
 }
 
-// ScanAll visits every record in heap order. fn receives a cloned
-// feature vector it may retain.
+// ScanAll visits every record in heap order. fn receives a freshly
+// decoded feature vector it may retain.
 func (dt *diskTable) ScanAll(fn func(rid storage.RID, id int64, eps float64, class int, f vector.Vector) error) error {
 	return dt.heap.Scan(func(rid storage.RID, rec []byte) error {
 		id, eps, class, f, err := decodeRecord(rec)
 		if err != nil {
 			return err
 		}
-		return fn(rid, id, eps, class, f.Clone())
+		return fn(rid, id, eps, class, f)
 	})
 }
 
-// ScanBand visits records with eps ∈ [lo, hi] in eps order via the
-// clustered index.
-func (dt *diskTable) ScanBand(lo, hi float64, fn func(rid storage.RID, id int64, eps float64, class int, f vector.Vector) error) error {
-	if dt.tree == nil {
-		return fmt.Errorf("core: band scan on unclustered table")
+// sweepOverflow reclassifies one overflow record for a band sweep:
+// the record is assembled by Get and its class byte patched through
+// the chain.
+func (dt *diskTable) sweepOverflow(rid storage.RID, predict func(f vector.Vector) int) error {
+	rec, err := dt.heap.Get(rid)
+	if err != nil {
+		return err
 	}
-	return dt.tree.Range(lo, hi, func(k btree.Key, rid storage.RID) (bool, error) {
-		var ferr error
-		err := dt.heap.View(rid, func(rec []byte) error {
-			id, eps, class, f, err := decodeRecord(rec)
-			if err != nil {
-				return err
-			}
-			ferr = fn(rid, id, eps, class, f.Clone())
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-		return ferr == nil, ferr
-	})
+	_, _, class, f, err := decodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	if nl := predict(f); nl != class {
+		return dt.PatchClass(rid, nl)
+	}
+	return nil
 }
 
 // ScanKeysAbove visits (eps, id) pairs with eps > hi straight from
@@ -275,17 +278,6 @@ func (dt *diskTable) ScanKeysAbove(hi float64, fn func(id int64) error) error {
 			}
 			return true, nil
 		})
-}
-
-// CountAbove returns the number of tuples with eps ≥ lo (the NR term
-// of the lazy cost model).
-func (dt *diskTable) CountAbove(lo float64) (int, error) {
-	n := 0
-	err := dt.tree.Range(lo, math.Inf(1), func(btree.Key, storage.RID) (bool, error) {
-		n++
-		return true, nil
-	})
-	return n, err
 }
 
 // NearestZero returns up to k index keys ordered by |eps| — the

@@ -6,6 +6,7 @@ import (
 
 	"hazy/internal/btree"
 	"hazy/internal/storage"
+	"hazy/internal/vector"
 )
 
 // This file is the read surface the streaming SQL executor plans
@@ -89,6 +90,10 @@ type diskCursor struct {
 	// bulk-fill scratch, sized to the batch request on first use
 	ks   []btree.Key
 	rids []storage.RID
+	// f holds the last lazily decoded band row's feature vector; every
+	// band row is decoded into it, so a scan allocates only when a
+	// row outgrows all before it.
+	f vector.Vector
 }
 
 // cursor opens a resolver-driven cursor over the clustered index.
@@ -153,15 +158,14 @@ func (c *diskCursor) rowLabel(k btree.Key, rid storage.RID) (int, error) {
 	if label, certain := c.res.Test(k.Eps); certain {
 		return label, nil
 	}
-	// Predict inside the View closure: the decoded vector aliases the
-	// pinned page and must not outlive the pin.
+	// Decode into the cursor's scratch vector, which the next band row
+	// overwrites: Predict must not retain it.
 	var label int
 	err := c.dt.heap.View(rid, func(rec []byte) error {
-		_, _, _, f, err := decodeRecord(rec)
-		if err != nil {
+		if err := decodeVectorInto(&c.f, rec); err != nil {
 			return err
 		}
-		label = c.res.Predict(f)
+		label = c.res.Predict(c.f)
 		return nil
 	})
 	return label, err

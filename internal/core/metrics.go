@@ -16,6 +16,7 @@ type viewMetrics struct {
 	reorgs    *obs.Counter
 	reorgDur  *obs.Histogram
 	sweepRows *obs.Histogram
+	sweepDur  *obs.Histogram
 	wmResets  *obs.Counter
 }
 
@@ -27,6 +28,7 @@ func newViewMetrics(reg *obs.Registry, labels ...obs.Label) *viewMetrics {
 		reorgs:    reg.Counter("hazy_view_reorgs_total", "reorganizations: re-cluster on eps and reset watermarks", labels...),
 		reorgDur:  reg.Histogram("hazy_view_reorg_micros", "reorganization duration in microseconds", 32, labels...),
 		sweepRows: reg.Histogram("hazy_view_band_sweep_rows", "tuples reclassified per incremental band sweep", 32, labels...),
+		sweepDur:  reg.Histogram("hazy_view_band_sweep_micros", "incremental band sweep duration in microseconds", 32, labels...),
 		wmResets:  reg.Counter("hazy_view_watermark_resets_total", "watermark resets to the current model", labels...),
 	}
 }
@@ -40,5 +42,9 @@ func (m *viewMetrics) observeReorg(d time.Duration) {
 // observeWMReset records one watermark reset.
 func (m *viewMetrics) observeWMReset() { m.wmResets.Inc() }
 
-// observeSweep records the size of one incremental band sweep.
-func (m *viewMetrics) observeSweep(rows int) { m.sweepRows.Observe(uint64(rows)) }
+// observeSweep records the size and duration of one incremental band
+// sweep.
+func (m *viewMetrics) observeSweep(rows int, d time.Duration) {
+	m.sweepRows.Observe(uint64(rows))
+	m.sweepDur.ObserveDuration(d)
+}

@@ -12,7 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hazy/internal/btree"
 	"hazy/internal/learn"
+	"hazy/internal/storage"
 	"hazy/internal/vector"
 )
 
@@ -362,9 +364,13 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 // BenchmarkSweepBand times one eager band sweep at 200k entities over a
 // fixed band of ~6 % of every stripe around eps = 0 — about the share
 // the write workload sweeps per batch — and reports it per band row.
+// The P sub-benchmarks sweep main-memory stripes; OD/P sweep on-disk
+// stripes (a 512-page pool, as on a served on-disk view), where a
+// per-row record copy shows as allocs/op.
 func BenchmarkSweepBand(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	entities := testEntities(r, 200_000)
+	memEps := func(st *stripe) []float64 { return st.store.(*memStripeStore).seg.eps }
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			v, err := NewStriped(entities, p, Options{Reorg: ReorgNever, Norm: math.Inf(1),
@@ -372,34 +378,62 @@ func BenchmarkSweepBand(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cur := v.Model()
-			bands := make([][2]float64, p)
-			rows := 0
-			for i, st := range v.stripes {
-				eps := st.store.(*memStripeStore).seg.eps
-				z, w := sort.SearchFloat64s(eps, 0), len(eps)*3/100
-				a, c := max(0, z-w), min(len(eps)-1, z+w)
-				bands[i] = [2]float64{eps[a], eps[c]}
-				rows += c - a + 1
-			}
-			sweep := func() {
-				err := v.forStripes(func(i int, st *stripe) error {
-					_, err := st.store.SweepBand(bands[i][0], bands[i][1], cur.Predict)
-					return err
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			sweep() // the first sweep widens the overlay over the band
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sweep()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+			benchSweep(b, v, memEps)
 		})
 	}
+	diskEps := func(st *stripe) []float64 {
+		var eps []float64
+		err := st.store.(*diskStripeStore).dt.tree.Scan(func(k btree.Key, _ storage.RID) (bool, error) {
+			eps = append(eps, k.Eps)
+			return true, nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eps
+	}
+	for _, p := range []int{1, 4} {
+		b.Run(fmt.Sprintf("OD/P%d", p), func(b *testing.B) {
+			v, err := NewStripedDisk(b.TempDir(), 512, entities, p, Options{Reorg: ReorgNever, Norm: math.Inf(1),
+				SGD: learn.SGDConfig{Eta0: 0.3}, Warm: trainingStream(r, 200)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer v.Close()
+			benchSweep(b, v, diskEps)
+		})
+	}
+}
+
+// benchSweep sweeps a fixed band of ~6 % of every stripe of v around
+// eps = 0, reading each stripe's eps-sorted keys through stripeEps.
+func benchSweep(b *testing.B, v *StripedView, stripeEps func(st *stripe) []float64) {
+	cur := v.Model()
+	bands := make([][2]float64, len(v.stripes))
+	rows := 0
+	for i, st := range v.stripes {
+		eps := stripeEps(st)
+		z, w := sort.SearchFloat64s(eps, 0), len(eps)*3/100
+		a, c := max(0, z-w), min(len(eps)-1, z+w)
+		bands[i] = [2]float64{eps[a], eps[c]}
+		rows += c - a + 1
+	}
+	sweep := func() {
+		err := v.forStripes(func(i int, st *stripe) error {
+			_, err := st.store.SweepBand(bands[i][0], bands[i][1], cur.Predict)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep() // the first sweep widens the overlay over the band / patches it on disk
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 }
 
 // BenchmarkReorganize times one reorganization of every stripe at 200k

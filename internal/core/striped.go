@@ -288,9 +288,10 @@ func (st *stripe) maintain(cur *learn.Model, reorg ReorgPolicy, lazy bool) error
 	if err != nil {
 		return err
 	}
+	elapsed := time.Since(start)
 	st.reclassified += int64(n)
-	st.sk.AddCost(time.Since(start))
-	st.met.observeSweep(n)
+	st.sk.AddCost(elapsed)
+	st.met.observeSweep(n, elapsed)
 	return nil
 }
 
@@ -433,6 +434,7 @@ func (v *StripedView) members(fn func(id int64)) error {
 		}); err != nil {
 			return err
 		}
+		bandStart := time.Now()
 		res := &LabelResolver{Test: st.wm.Test, Predict: cur.Predict}
 		c, err := st.store.Cursor(lw, hw, res)
 		if err != nil {
@@ -455,7 +457,7 @@ func (v *StripedView) members(fn func(id int64)) error {
 			}
 		}
 		st.reclassified += int64(band)
-		st.met.observeSweep(band)
+		st.met.observeSweep(band, time.Since(bandStart))
 		elapsed := time.Since(start)
 		if nRead > 0 {
 			waste := time.Duration(float64(elapsed) * float64(nRead-nPos) / float64(nRead))

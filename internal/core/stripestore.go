@@ -56,7 +56,9 @@ type StripeStore interface {
 	Rebuild(epsOf func(f vector.Vector) float64) error
 	// SweepBand reclassifies the records with eps ∈ [lo, hi] under
 	// predict (the eager incremental step) and returns how many
-	// records it examined.
+	// records it examined. predict must not retain f: stores pass
+	// views of their own columns or of a scratch vector that the next
+	// record overwrites.
 	SweepBand(lo, hi float64, predict func(f vector.Vector) int) (int, error)
 	// ScanKeysAbove visits the ids with eps > hi, without touching
 	// feature vectors — the All Members fast path above high water.
@@ -88,7 +90,8 @@ type StripeStore interface {
 // stored eps, and Predict classifies against the current model when
 // the row lies inside the band. Layouts use it to defer feature-
 // vector decoding to exactly the uncertain rows (the on-disk cursor
-// never touches the heap for rows outside the band).
+// never touches the heap for rows outside the band). Predict must not
+// retain f, which may be a scratch vector the next row overwrites.
 type LabelResolver struct {
 	Test    func(eps float64) (label int, certain bool)
 	Predict func(f vector.Vector) int

@@ -148,10 +148,10 @@ func (h *HeapFile) writeOverflow(rec []byte) (PageID, error) {
 	return first, nil
 }
 
-// readOverflow assembles a record from the chain starting at first.
-func (h *HeapFile) readOverflow(first PageID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
-	id := first
+// readOverflow assembles the record ref names into a fresh slice.
+func (h *HeapFile) readOverflow(ref overflowRef) ([]byte, error) {
+	out := make([]byte, 0, ref.total)
+	id := ref.first
 	for id != InvalidPage {
 		buf, err := h.pool.Pin(id)
 		if err != nil {
@@ -163,8 +163,8 @@ func (h *HeapFile) readOverflow(first PageID, total int) ([]byte, error) {
 		h.pool.Unpin(id, false)
 		id = next
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("storage: overflow chain has %d bytes, stub says %d", len(out), total)
+	if len(out) != ref.total {
+		return nil, fmt.Errorf("storage: overflow chain has %d bytes, stub says %d", len(out), ref.total)
 	}
 	return out, nil
 }
@@ -191,57 +191,147 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	return h.insertStored(stub[:])
 }
 
-// decodeStored interprets a slot's bytes, assembling overflow chains.
-// The returned slice aliases the page only for inline records with
-// copy=false.
-func (h *HeapFile) decodeStored(stored []byte, copyInline bool) ([]byte, error) {
+// overflowRef names an overflow record: its chain's first page and
+// the record's total length, as read from the slot's stub.
+type overflowRef struct {
+	first PageID
+	total int
+}
+
+// parseStored interprets a slot's bytes: an inline record yields its
+// payload, aliasing stored; an overflow stub yields the chain it
+// names, which stays valid after the slot's page is unpinned.
+func parseStored(stored []byte) (payload []byte, ref overflowRef, inline bool, err error) {
 	if len(stored) < 1 {
-		return nil, fmt.Errorf("storage: empty stored record")
+		return nil, ref, false, fmt.Errorf("storage: empty stored record")
 	}
 	switch stored[0] {
 	case flagInline:
-		if copyInline {
-			return append([]byte(nil), stored[1:]...), nil
-		}
-		return stored[1:], nil
+		return stored[1:], ref, true, nil
 	case flagOverflow:
 		if len(stored) != stubSize {
-			return nil, fmt.Errorf("storage: bad overflow stub of %d bytes", len(stored))
+			return nil, ref, false, fmt.Errorf("storage: bad overflow stub of %d bytes", len(stored))
 		}
-		first := PageID(binary.LittleEndian.Uint32(stored[1:5]))
-		total := int(binary.LittleEndian.Uint32(stored[5:9]))
-		return h.readOverflow(first, total)
+		ref.first = PageID(binary.LittleEndian.Uint32(stored[1:5]))
+		ref.total = int(binary.LittleEndian.Uint32(stored[5:9]))
+		return nil, ref, false, nil
 	default:
-		return nil, fmt.Errorf("storage: unknown record flag %d", stored[0])
+		return nil, ref, false, fmt.Errorf("storage: unknown record flag %d", stored[0])
 	}
 }
 
-// Get copies the record at rid into a fresh slice.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
+// lookup pins rid's page and parses its slot. An inline record's
+// payload aliases the page, which stays pinned for the caller to
+// unpin; an overflow record or an error leaves nothing pinned.
+func (h *HeapFile) lookup(rid RID) (payload []byte, ref overflowRef, inline bool, err error) {
 	buf, err := h.pool.Pin(rid.Page)
 	if err != nil {
-		return nil, err
+		return nil, ref, false, err
 	}
 	stored, ok := SlottedPage{buf}.Get(int(rid.Slot))
 	if !ok {
 		h.pool.Unpin(rid.Page, false)
-		return nil, fmt.Errorf("storage: no record at %v", rid)
+		return nil, ref, false, fmt.Errorf("storage: no record at %v", rid)
 	}
-	// Copy the stored bytes before unpinning; overflow chains pin
-	// other pages, and nested pins of the same page are fine.
-	storedCopy := append([]byte(nil), stored...)
-	h.pool.Unpin(rid.Page, false)
-	return h.decodeStored(storedCopy, true)
+	payload, ref, inline, err = parseStored(stored)
+	if err != nil || !inline {
+		h.pool.Unpin(rid.Page, false)
+	}
+	return payload, ref, inline, err
 }
 
-// View calls fn with the record bytes at rid; fn must not retain the
-// slice.
+// Get copies the record at rid into a fresh slice: one copy straight
+// off the pinned page for an inline record, the assembled chain for
+// an overflow record.
+func (h *HeapFile) Get(rid RID) ([]byte, error) {
+	payload, ref, inline, err := h.lookup(rid)
+	if err != nil {
+		return nil, err
+	}
+	if !inline {
+		return h.readOverflow(ref)
+	}
+	rec := append([]byte(nil), payload...)
+	h.pool.Unpin(rid.Page, false)
+	return rec, nil
+}
+
+// View calls fn with the record bytes at rid. An inline record's
+// bytes alias the pinned page, which stays pinned until fn returns;
+// an overflow record is assembled into a fresh slice first. Either
+// way fn must not retain the slice, nor write to it.
 func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
-	rec, err := h.Get(rid)
+	payload, ref, inline, err := h.lookup(rid)
 	if err != nil {
 		return err
 	}
-	return fn(rec)
+	if !inline {
+		rec, err := h.readOverflow(ref)
+		if err != nil {
+			return err
+		}
+		return fn(rec)
+	}
+	defer h.pool.Unpin(rid.Page, false)
+	return fn(payload)
+}
+
+// PageRun reads a sequence of records while holding at most one heap
+// page pinned: consecutive records on the same page share one pin,
+// so a scan over RIDs that cluster by page — an eps-band sweep over a
+// reorganized table — pays one pool round trip per page, not per
+// record. Inline payloads alias the pinned page and may be modified
+// in place (the paper's in-place class update, App. B.1); MarkDirty
+// then schedules the page for write-back when the run moves off it.
+// A run is single-goroutine and must be Closed.
+type PageRun struct {
+	h     *HeapFile
+	page  PageID // pinned page, InvalidPage when none
+	buf   []byte
+	dirty bool
+}
+
+// Run opens a page run over h.
+func (h *HeapFile) Run() *PageRun { return &PageRun{h: h, page: InvalidPage} }
+
+// Record returns the payload at rid. For an inline record (inline
+// true) the payload aliases the pinned page: it is valid until the
+// next Record or Close, and bytes written into it reach the file once
+// MarkDirty is called. An overflow record returns inline false and no
+// payload, and the run releases its pin so the caller can read the
+// record with Get and write it with Patch.
+func (r *PageRun) Record(rid RID) (payload []byte, inline bool, err error) {
+	if rid.Page != r.page {
+		r.release()
+		buf, err := r.h.pool.Pin(rid.Page)
+		if err != nil {
+			return nil, false, err
+		}
+		r.page, r.buf = rid.Page, buf
+	}
+	stored, ok := SlottedPage{r.buf}.Get(int(rid.Slot))
+	if !ok {
+		return nil, false, fmt.Errorf("storage: no record at %v", rid)
+	}
+	payload, _, inline, err = parseStored(stored)
+	if err != nil || !inline {
+		r.release()
+	}
+	return payload, inline, err
+}
+
+// MarkDirty records that the caller changed bytes of the current
+// page; a run that only reads never dirties a page.
+func (r *PageRun) MarkDirty() { r.dirty = true }
+
+// Close releases the run's pin. It is idempotent.
+func (r *PageRun) Close() { r.release() }
+
+func (r *PageRun) release() {
+	if r.page != InvalidPage {
+		r.h.pool.Unpin(r.page, r.dirty)
+		r.page, r.buf, r.dirty = InvalidPage, nil, false
+	}
 }
 
 // Update overwrites the record at rid. If the new record does not fit
@@ -284,18 +374,11 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 // without generating a copy", App. B.1). Overflow records are patched
 // by walking their chain.
 func (h *HeapFile) Patch(rid RID, off int, data []byte) error {
-	buf, err := h.pool.Pin(rid.Page)
+	rec, ref, inline, err := h.lookup(rid)
 	if err != nil {
-		return err
+		return fmt.Errorf("patch: %w", err)
 	}
-	sp := SlottedPage{buf}
-	stored, ok := sp.Get(int(rid.Slot))
-	if !ok {
-		h.pool.Unpin(rid.Page, false)
-		return fmt.Errorf("storage: patch of missing record %v", rid)
-	}
-	if stored[0] == flagInline {
-		rec := stored[1:]
+	if inline {
 		if off < 0 || off+len(data) > len(rec) {
 			h.pool.Unpin(rid.Page, false)
 			return fmt.Errorf("storage: patch [%d,%d) outside record of %d bytes", off, off+len(data), len(rec))
@@ -304,14 +387,11 @@ func (h *HeapFile) Patch(rid RID, off int, data []byte) error {
 		h.pool.Unpin(rid.Page, true)
 		return nil
 	}
-	// Overflow: read the stub, then walk to the offset.
-	first := PageID(binary.LittleEndian.Uint32(stored[1:5]))
-	total := int(binary.LittleEndian.Uint32(stored[5:9]))
-	h.pool.Unpin(rid.Page, false)
-	if off < 0 || off+len(data) > total {
-		return fmt.Errorf("storage: patch [%d,%d) outside record of %d bytes", off, off+len(data), total)
+	// Overflow: walk the chain to the offset.
+	if off < 0 || off+len(data) > ref.total {
+		return fmt.Errorf("storage: patch [%d,%d) outside record of %d bytes", off, off+len(data), ref.total)
 	}
-	id := first
+	id := ref.first
 	pos := 0
 	remaining := data
 	for id != InvalidPage && len(remaining) > 0 {
@@ -374,18 +454,14 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 			if !ok {
 				continue
 			}
-			var rec []byte
-			if stored[0] == flagInline {
-				rec = stored[1:]
-			} else {
-				// Assembling an overflow record pins other pages;
-				// copy the stub first so the slice stays valid.
-				stub := append([]byte(nil), stored...)
-				rec, err = h.decodeStored(stub, false)
-				if err != nil {
-					h.pool.Unpin(id, false)
-					return err
-				}
+			rec, ref, inline, err := parseStored(stored)
+			if err == nil && !inline {
+				// Assembling an overflow record pins other pages.
+				rec, err = h.readOverflow(ref)
+			}
+			if err != nil {
+				h.pool.Unpin(id, false)
+				return err
 			}
 			if err := fn(RID{Page: id, Slot: uint16(s)}, rec); err != nil {
 				h.pool.Unpin(id, false)

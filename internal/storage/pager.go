@@ -5,6 +5,16 @@
 // Every disk access flows through the buffer pool, which keeps I/O
 // statistics so benchmarks can report physical reads/writes alongside
 // wall-clock time.
+//
+// A heap record is read in one of three ways. Get copies it into a
+// fresh slice the caller owns. View lends it to a callback: an inline
+// record's bytes alias the pinned page until the callback returns, so
+// a point read that decodes what it needs copies nothing. A PageRun
+// walks a sequence of records holding one page pinned per run of
+// records that share it, and lets the caller rewrite an inline
+// record's bytes in place under that pin — the copy-free class update
+// of Hazy's on-disk band sweep. Overflow records are always assembled
+// into a fresh slice.
 package storage
 
 import (

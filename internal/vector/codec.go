@@ -52,37 +52,59 @@ func (v Vector) Encode(dst []byte) []byte {
 }
 
 // Decode parses a vector from the front of buf, returning the vector
-// and the number of bytes consumed.
+// (in freshly allocated slices) and the number of bytes consumed.
 func Decode(buf []byte) (Vector, int, error) {
+	var v Vector
+	n, err := DecodeInto(&v, buf)
+	if err != nil {
+		return Vector{}, 0, err
+	}
+	return v, n, nil
+}
+
+// DecodeInto parses a vector from the front of buf into dst, reusing
+// dst's Idx and Val capacity, and returns the number of bytes
+// consumed. A scan that decodes one row at a time into the same dst
+// allocates only when a row outgrows every row before it; dst's
+// previous contents are overwritten, so callers must not hold on to
+// them. On error dst is left unchanged.
+func DecodeInto(dst *Vector, buf []byte) (int, error) {
 	if len(buf) < 5 {
-		return Vector{}, 0, fmt.Errorf("vector: short buffer (%d bytes)", len(buf))
+		return 0, fmt.Errorf("vector: short buffer (%d bytes)", len(buf))
 	}
 	tag := buf[0]
 	n := int(binary.LittleEndian.Uint32(buf[1:5]))
 	off := 5
-	var v Vector
 	switch tag {
 	case tagDense:
 		if len(buf) < off+8*n {
-			return Vector{}, 0, fmt.Errorf("vector: truncated dense body")
+			return 0, fmt.Errorf("vector: truncated dense body")
 		}
-		v.Val = make([]float64, n)
+		dst.Idx = nil
 	case tagSparse:
 		if len(buf) < off+12*n {
-			return Vector{}, 0, fmt.Errorf("vector: truncated sparse body")
+			return 0, fmt.Errorf("vector: truncated sparse body")
 		}
-		v.Idx = make([]int32, n)
-		for k := 0; k < n; k++ {
-			v.Idx[k] = int32(binary.LittleEndian.Uint32(buf[off:]))
+		// A sparse vector's Idx is never nil, even when empty: nil
+		// marks a dense one. (Val is likewise never left nil.)
+		if dst.Idx == nil || cap(dst.Idx) < n {
+			dst.Idx = make([]int32, n)
+		}
+		dst.Idx = dst.Idx[:n]
+		for k := range dst.Idx {
+			dst.Idx[k] = int32(binary.LittleEndian.Uint32(buf[off:]))
 			off += 4
 		}
-		v.Val = make([]float64, n)
 	default:
-		return Vector{}, 0, fmt.Errorf("vector: unknown tag %d", tag)
+		return 0, fmt.Errorf("vector: unknown tag %d", tag)
 	}
-	for k := 0; k < n; k++ {
-		v.Val[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	if dst.Val == nil || cap(dst.Val) < n {
+		dst.Val = make([]float64, n)
+	}
+	dst.Val = dst.Val[:n]
+	for k := range dst.Val {
+		dst.Val[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
-	return v, off, nil
+	return off, nil
 }

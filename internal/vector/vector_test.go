@@ -317,6 +317,49 @@ func TestDecodeConsumesPrefixOnly(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoReuses decodes a mixed sequence into one scratch and
+// checks each result against Decode, that a row no larger than the
+// largest before it allocates nothing, that a sparse vector with no
+// components keeps a non-nil Idx (nil marks dense), and that a failed
+// decode leaves the scratch as it was.
+func TestDecodeIntoReuses(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	vs := []Vector{
+		randomSparse(r, 1000, 40),
+		NewDense([]float64{1, 2, 3}),
+		randomSparse(r, 1000, 7),
+		NewSparse([]int32{}, []float64{}),
+		NewDense([]float64{}),
+		randomSparse(r, 1000, 40),
+	}
+	var dst Vector
+	for i, v := range vs {
+		buf := v.Encode(nil)
+		n, err := DecodeInto(&dst, buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("vector %d: consumed %d of %d: %v", i, n, len(buf), err)
+		}
+		if dst.IsDense() != v.IsDense() || !Equal(dst, v) {
+			t.Fatalf("vector %d: decoded %v, want %v", i, dst, v)
+		}
+	}
+	sparse := randomSparse(r, 1000, 30).Encode(nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeInto(&dst, sparse); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeInto into a large enough scratch allocates %v times", allocs)
+	}
+	before := dst
+	if _, err := DecodeInto(&dst, sparse[:len(sparse)-1]); err == nil {
+		t.Fatal("truncated body accepted")
+	}
+	if &dst.Val[0] != &before.Val[0] || len(dst.Val) != len(before.Val) {
+		t.Fatal("a failed decode changed the scratch")
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	v := NewSparse([]int32{1}, []float64{5})
 	c := v.Clone()
